@@ -42,6 +42,16 @@ struct ServiceDirectory {
   /// Masters consult it on every tracked RPC and in the reclamation sweep
   /// (content-plane side channel; lease *grants* still travel as RPCs).
   std::function<bool(std::uint64_t)> leaseValid;
+
+  /// First id of a fresh 65536-segment range for a recovery task's side
+  /// log. Counted per cluster, so side-log ids never depend on how many
+  /// recoveries ran earlier in the same process. The ranges stay in the
+  /// upper half of the id space, clear of the master logs (which start at
+  /// 1); they repeat only after 32768 recoveries in one cluster.
+  std::uint32_t nextSideLogBase() const {
+    return 0x8000'0000u + ((sideLogRanges++ & 0x7fffu) << 16);
+  }
+  mutable std::uint32_t sideLogRanges = 0;
 };
 
 /// Default RPC deadlines.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <atomic>
 #include <cstdio>
 #include <utility>
 
@@ -161,19 +160,19 @@ void MasterService::handleRpc(const net::RpcRequest& req, node::NodeId from,
       onRead(req, std::move(respond));
       break;
     case net::Opcode::kWrite:
-      onWrite(req, std::move(respond));
+      mutate(req, std::move(respond), kWriteOp);
       break;
     case net::Opcode::kTxPrepare:
-      onTxPrepare(req, std::move(respond));
+      mutate(req, std::move(respond), kTxPrepareOp);
       break;
     case net::Opcode::kTxDecision:
-      onTxDecision(req, std::move(respond));
+      mutate(req, std::move(respond), kTxDecisionOp);
       break;
     case net::Opcode::kTxVote:
       onTxVote(req, std::move(respond));
       break;
     case net::Opcode::kRemove:
-      onRemove(req, std::move(respond));
+      mutate(req, std::move(respond), kRemoveOp);
       break;
     case net::Opcode::kScan:
       onScan(req, std::move(respond));
@@ -230,20 +229,24 @@ void MasterService::addTablet(const Tablet& t) {
   }
 }
 
-void MasterService::noteTabletOp(std::uint64_t tableId, std::uint64_t keyId,
-                                 bool isWrite) {
+net::Status MasterService::admitKey(std::uint64_t tableId, std::uint64_t keyId,
+                                    bool bounceMigrating, bool isWrite) {
   const std::uint64_t h = hash::keyHash(hash::Key{tableId, keyId});
-  for (const Tablet& t : tablets_) {
-    if (t.covers(tableId, h)) {
-      TabletHeat& heat = tabletHeat_[{t.tableId, t.startHash}];
-      if (isWrite) {
-        ++heat.writes;
-      } else {
-        ++heat.reads;
-      }
-      return;
-    }
+  const auto owned =
+      std::find_if(tablets_.begin(), tablets_.end(),
+                   [&](const Tablet& t) { return t.covers(tableId, h); });
+  if (owned == tablets_.end()) {
+    ++stats_.unknownTablet;
+    return net::Status::kUnknownTablet;
   }
+  // The range is being shipped elsewhere; the client backs off and
+  // re-routes once the coordinator flips the tablet map.
+  if (bounceMigrating && isMigratingRange(tableId, h)) {
+    return net::Status::kRecovering;
+  }
+  TabletHeat& heat = tabletHeat_[{owned->tableId, owned->startHash}];
+  ++(isWrite ? heat.writes : heat.reads);
+  return net::Status::kOk;
 }
 
 void MasterService::registerTabletHeat(std::uint64_t tableId,
@@ -272,40 +275,34 @@ bool MasterService::ownsKey(std::uint64_t tableId, std::uint64_t keyId) const {
   return false;
 }
 
-MasterService::ApplyResult MasterService::applyWrite(std::uint64_t tableId,
-                                                     std::uint64_t keyId,
-                                                     std::uint32_t valueBytes) {
+MasterService::ApplyResult MasterService::applyObject(std::uint64_t tableId,
+                                                      std::uint64_t keyId,
+                                                      std::uint32_t sizeBytes,
+                                                      log::EntryType type) {
+  const hash::Key k{tableId, keyId};
+  const hash::ObjectLocation* old = map_.get(k);
+  const bool tombstone = type == log::EntryType::kTombstone;
   log::LogEntry e;
   e.tableId = tableId;
   e.keyId = keyId;
-  e.sizeBytes = valueBytes + params_.objectOverheadBytes;
+  e.sizeBytes = sizeBytes;
   e.version = log_.nextVersion();
-  e.type = log::EntryType::kObject;
+  e.type = type;
+  if (tombstone) e.refSegment = old->ref.segment;
   const log::LogRef ref = log_.append(e, node_.sim().now());
-
-  const hash::Key k{tableId, keyId};
-  if (const auto* old = map_.get(k)) log_.markDead(old->ref);
-  map_.put(k, hash::ObjectLocation{ref, e.version, e.sizeBytes});
+  if (old != nullptr) log_.markDead(old->ref);
+  if (tombstone) {
+    map_.erase(k);
+  } else {
+    map_.put(k, hash::ObjectLocation{ref, e.version, e.sizeBytes});
+  }
   return ApplyResult{ref, e.version, e.sizeBytes};
 }
 
-log::LogRef MasterService::appendCompletion(std::uint64_t tableId,
-                                            std::uint64_t keyId,
-                                            std::uint64_t clientId,
-                                            std::uint64_t seq,
-                                            std::uint64_t version,
-                                            net::Status status, bool found) {
-  log::LogEntry c;
-  c.tableId = tableId;
-  c.keyId = keyId;
-  c.sizeBytes = params_.completionRecordBytes;
-  c.version = version;
-  c.type = log::EntryType::kCompletion;
-  c.clientId = clientId;
-  c.rpcSeq = seq;
-  c.opStatus = static_cast<std::uint8_t>(status);
-  c.found = found;
-  return log_.append(c, node_.sim().now());
+std::uint64_t MasterService::versionOf(std::uint64_t tableId,
+                                       std::uint64_t keyId) const {
+  const auto* loc = map_.get(hash::Key{tableId, keyId});
+  return loc != nullptr ? loc->version : 0;
 }
 
 void MasterService::ensureHeadRoom(std::uint32_t bytes) {
@@ -347,6 +344,18 @@ void MasterService::startLeaseReclaim() {
       });
 }
 
+const hash::ObjectLocation* MasterService::lookup(std::uint64_t tableId,
+                                                  std::uint64_t keyId,
+                                                  std::uint16_t tenant) {
+  const auto* loc = map_.get(hash::Key{tableId, keyId});
+  if (loc != nullptr) {
+    node_.chargeDram(loc->sizeBytes, {power::OpClass::kRead, tenant});
+  } else {
+    ++stats_.missingKeys;
+  }
+  return loc;
+}
+
 void MasterService::onRead(const net::RpcRequest& req, Responder respond) {
   const std::uint64_t tableId = req.a;
   const std::uint64_t keyId = req.b;
@@ -357,14 +366,15 @@ void MasterService::onRead(const net::RpcRequest& req, Responder respond) {
   dispatch_.enqueue(guard([this, tableId, keyId, span, arrival, tenant,
                            respond = std::move(respond)]() mutable {
     stampTrace(span, obs::TimeTrace::Stage::kDispatchWait);
-    if (!ownsKey(tableId, keyId)) {
-      ++stats_.unknownTablet;
+    if (const net::Status st = admitKey(tableId, keyId,
+                                        /*bounceMigrating=*/false,
+                                        /*isWrite=*/false);
+        st != net::Status::kOk) {
       net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
+      r.status = st;
       respond(std::move(r));
       return;
     }
-    noteTabletOp(tableId, keyId, /*isWrite=*/false);
     node_.cpu().acquireWorker(guard([this, tableId, keyId, span, arrival,
                                      tenant,
                                      respond =
@@ -375,17 +385,11 @@ void MasterService::onRead(const net::RpcRequest& req, Responder respond) {
           guard([this, tableId, keyId, span, arrival, tenant, w,
                  respond = std::move(respond)]() mutable {
             node_.cpu().releaseWorker(w);
-            const auto* loc = map_.get(hash::Key{tableId, keyId});
             net::RpcResponse r;
-            if (loc != nullptr) {
+            if (const auto* loc = lookup(tableId, keyId, tenant)) {
               r.a = 1;
               r.b = loc->version;
               r.payloadBytes = loc->sizeBytes;
-              node_.chargeDram(loc->sizeBytes,
-                               {power::OpClass::kRead, tenant});
-            } else {
-              r.a = 0;
-              ++stats_.missingKeys;
             }
             ++stats_.reads;
             stats_.readServiceLatency.add(node_.sim().now() - arrival);
@@ -397,314 +401,120 @@ void MasterService::onRead(const net::RpcRequest& req, Responder respond) {
   }));
 }
 
-void MasterService::onWrite(const net::RpcRequest& req, Responder respond) {
-  struct WriteCtx {
-    std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;
-    std::uint32_t valueBytes = 0;
-    std::uint64_t expected = 0;  ///< conditional write (0 = unconditional)
-    std::uint64_t clientId = 0;  ///< 0 = untracked (no exactly-once)
-    std::uint64_t rpcSeq = 0;
-    std::uint64_t firstUnacked = 0;
-    std::uint64_t span = 0;
-    std::uint16_t tenant = 0;
-    sim::SimTime arrival = 0;
-    Responder respond;
-  };
-  auto cx = std::make_shared<WriteCtx>();
-  cx->tableId = req.a;
-  cx->keyId = req.b;
-  cx->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
-  cx->expected = req.c;
-  cx->clientId = req.clientId;
-  cx->rpcSeq = req.rpcSeq;
-  cx->firstUnacked = req.firstUnacked;
-  cx->span = req.traceSpan;
-  cx->tenant = req.tenant;
-  cx->arrival = node_.sim().now();
-  cx->respond = std::move(respond);
+/// What differs between the mutating ops. Everything else — admission,
+/// the append order, the record, the sync and the reply — is shared.
+struct MasterService::MutationOp {
+  sim::Duration MasterParams::*cpu;  ///< worker CPU under logLock_
+  bool convoy;  ///< cpu stretched by the thread-handling penalty
+  std::uint64_t MasterStats::*counter;  ///< bumped (with the service time)
+  bool stub;             ///< pays unreplicatedSyncTime at rf=0
+  bool blockedByTxLock;  ///< any held tx version lock refuses the op
+  bool trackedOnly;      ///< an untracked request is refused
+  bool readOnlyItems;    ///< no value = read-only tx item, validated only
+  /// The op's verdict under logLock_: status, version, what to append.
+  void (MasterService::*decide)(Mutation&, const TxLockTable::Lock*);
+};
 
-  dispatch_.enqueue(guard([this, cx]() mutable {
-    stampTrace(cx->span, obs::TimeTrace::Stage::kDispatchWait);
-    if (!ownsKey(cx->tableId, cx->keyId)) {
-      ++stats_.unknownTablet;
-      net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (isMigratingRange(cx->tableId,
-                         hash::keyHash(hash::Key{cx->tableId, cx->keyId}))) {
-      // The range is being shipped elsewhere; the client backs off and
-      // re-routes once the coordinator flips the tablet map.
-      net::RpcResponse r;
-      r.status = net::Status::kRecovering;
-      cx->respond(std::move(r));
-      return;
-    }
-    noteTabletOp(cx->tableId, cx->keyId, /*isWrite=*/true);
-    if (cx->clientId != 0) {
-      // RIFL admission: reject expired leases, then check the suppression
-      // table before burning a worker on a duplicate.
-      if (directory_.leaseValid && !directory_.leaseValid(cx->clientId)) {
-        net::RpcResponse r;
-        r.status = net::Status::kExpiredLease;
-        cx->respond(std::move(r));
-        return;
-      }
-      startLeaseReclaim();
-      std::vector<log::LogRef> freed;
-      const auto adm =
-          unacked_.begin(cx->clientId, cx->rpcSeq, cx->firstUnacked, &freed);
-      releaseCompletionRecords(freed);
-      switch (adm.check) {
-        case UnackedRpcResults::Check::kCompleted: {
-          // Duplicate of a finished op: replay the recorded outcome, never
-          // re-execute (the original may have been a different value).
-          net::RpcResponse r;
-          r.status = static_cast<net::Status>(adm.result.status);
-          r.b = adm.result.version;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kInProgress: {
-          // First attempt still replicating; the retry backs off like a
-          // recovery wait and re-probes.
-          net::RpcResponse r;
-          r.status = net::Status::kRecovering;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kStale: {
-          net::RpcResponse r;
-          r.status = net::Status::kStaleRpc;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kNew:
-          break;
-      }
-    }
-    node_.cpu().acquireWorker(guard([this, cx](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kUpdate, cx->tenant});
-      logLock_.acquire(guard([this, cx, w]() mutable {
-        // Thread-handling cost under concurrency (Finding 2's root cause):
-        // the more distinct streams hammer this server, the more futile
-        // context switches each synced update eats. sqrt keeps the penalty
-        // sublinear, as fitted to Table II.
-        const int streams = concurrentStreams();
-        const sim::Duration penalty = sim::usecF(
-            params_.convoyPenaltyUs * std::sqrt(static_cast<double>(streams)));
-        node_.sim().schedule(
-            params_.writeAppendCpu + penalty, guard([this, cx, w]() mutable {
-              const bool tracked = cx->clientId != 0;
-              if (const TxLockTable::Lock* held =
-                      txLocks_.get(cx->tableId, cx->keyId);
-                  held != nullptr) {
-                // A prepared minitransaction holds this object's version
-                // lock: a plain write slipping underneath would invalidate
-                // the vote that participant already cast. Reject; the
-                // writer retries after the decision releases the lock.
-                // Nothing mutated, so the RIFL entry rolls back (a retry
-                // re-runs the check) instead of recording a durable verdict.
-                txLocks_.countConflict();
-                if (tracked) unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                net::RpcResponse r;
-                r.status = net::Status::kTxConflict;
-                r.b = held->expectedVersion;
-                stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-                logLock_.release();
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                return;
-              }
-              if (cx->expected != 0) {
-                // Conditional check under the append lock: an interleaved
-                // writer cannot slip between check and apply.
-                const auto* loc =
-                    map_.get(hash::Key{cx->tableId, cx->keyId});
-                const std::uint64_t cur = loc != nullptr ? loc->version : 0;
-                if (cur != cx->expected) {
-                  onWriteVersionMismatch(cx->tableId, cx->keyId, cx->clientId,
-                                         cx->rpcSeq, cur, cx->span,
-                                         cx->tenant, cx->arrival, w,
-                                         std::move(cx->respond));
-                  return;
-                }
-              }
-              if (tracked) {
-                // The completion record must land in the same segment as
-                // the object so both replicate (and recover) atomically.
-                ensureHeadRoom(cx->valueBytes + params_.objectOverheadBytes +
-                               params_.completionRecordBytes);
-              }
-              const ApplyResult res =
-                  applyWrite(cx->tableId, cx->keyId, cx->valueBytes);
-              log::LogRef rec;
-              std::uint32_t entryBytes = res.entryBytes;
-              if (tracked) {
-                rec = appendCompletion(cx->tableId, cx->keyId, cx->clientId,
-                                       cx->rpcSeq, res.version,
-                                       net::Status::kOk, true);
-                entryBytes += params_.completionRecordBytes;
-              }
-              node_.chargeDram(entryBytes,
-                               {power::OpClass::kUpdate, cx->tenant});
-              // Hash/log work done; what follows is the log-sync /
-              // replication fan-out the paper's Finding 3 is about.
-              stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-              auto finish = guard([this, cx, w, res, rec,
-                                   tracked](bool ok) mutable {
-                logLock_.release();
-                net::RpcResponse r;
-                if (!ok) {
-                  r.status = net::Status::kError;
-                  ++stats_.replicationFailures;
-                  if (tracked) {
-                    // Nothing durably recorded: the retry re-executes.
-                    unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                    log_.markDead(rec);
-                  }
-                } else {
-                  r.b = res.version;
-                  if (tracked) {
-                    UnackedRpcResults::Result rr;
-                    rr.status =
-                        static_cast<std::uint8_t>(net::Status::kOk);
-                    rr.version = res.version;
-                    rr.found = true;
-                    rr.tableId = cx->tableId;
-                    rr.keyId = cx->keyId;
-                    rr.record = rec;
-                    unacked_.recordCompletion(cx->clientId, cx->rpcSeq, rr);
-                  }
-                }
-                ++stats_.writes;
-                stats_.writeServiceLatency.add(node_.sim().now() -
-                                               cx->arrival);
-                dispatch_.noteSojourn(node_.sim().now() - cx->arrival);
-                stampTrace(cx->span, obs::TimeTrace::Stage::kReplicationWait);
-                if (ok && crashBeforeReplyHook_) {
-                  // Fault point: the op is durable (and recorded) but the
-                  // reply never leaves — the injector crashes us from the
-                  // hook and the client's retry lands on the new owner.
-                  auto hook = std::move(crashBeforeReplyHook_);
-                  crashBeforeReplyHook_ = nullptr;
-                  node_.cpu().releaseWorker(w);
-                  hook();
-                  return;
-                }
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                maybeStartCleaner();
-              });
-              if (params_.replication.factor <= 0) {
-                // Log sync without backups still pays RAMCloud's
-                // thread-handling overhead (see MasterParams).
-                node_.sim().schedule(
-                    params_.unreplicatedSyncTime,
-                    guard([finish = std::move(finish)]() mutable {
-                      finish(true);
-                    }));
-              } else {
-                // Object + completion record sync as one append (they are
-                // in one segment, see ensureHeadRoom above).
-                replicaMgr_.replicateAppend(res.ref.segment, entryBytes,
-                                            std::move(finish));
-              }
-            }));
-      }));
-    }));
-  }));
-}
+/// One mutating RPC. The request half is built from the RpcRequest in
+/// mutate(); the verdict half is filled by the op's decide step.
+struct MasterService::Mutation {
+  const MutationOp* op = nullptr;
+  std::uint64_t tableId = 0;
+  std::uint64_t keyId = 0;
+  std::uint32_t valueBytes = 0;
+  /// Write/prepare: expected version (0 = blind). Decision: bit 0 commit,
+  /// bit 1 sent by orphan resolution.
+  std::uint64_t expected = 0;
+  std::uint64_t txId = 0;
+  std::uint64_t clientId = 0;  ///< 0 = untracked (no exactly-once)
+  std::uint64_t rpcSeq = 0;
+  std::uint64_t firstUnacked = 0;
+  std::uint64_t span = 0;
+  std::uint16_t tenant = 0;
+  sim::SimTime arrival = 0;
+  log::TxParticipants participants;
+  Responder respond;
 
-void MasterService::onWriteVersionMismatch(
-    std::uint64_t tableId, std::uint64_t keyId, std::uint64_t clientId,
-    std::uint64_t seq, std::uint64_t currentVersion, std::uint64_t span,
-    std::uint16_t tenant, sim::SimTime arrival, int w, Responder respond) {
-  const bool tracked = clientId != 0;
-  log::LogRef rec;
-  if (tracked) {
-    // The rejection is an outcome too: record it durably so a duplicate
-    // retry replays kVersionMismatch instead of re-running the check
-    // against whatever version exists by then.
-    rec = appendCompletion(tableId, keyId, clientId, seq, currentVersion,
-                           net::Status::kVersionMismatch, true);
-    node_.chargeDram(params_.completionRecordBytes,
-                     {power::OpClass::kUpdate, tenant});
+  net::Status status = net::Status::kOk;
+  std::uint64_t version = 0;
+  bool found = true;
+  bool applied = true;  ///< false: a recorded rejection, nothing changed
+  bool crashPoint = false;  ///< crash_before_reply may swallow the reply
+  std::uint64_t MasterStats::*counter = nullptr;
+  std::uint32_t objectBytes = 0;  ///< object or tombstone to append (0: none)
+  log::EntryType objectType = log::EntryType::kObject;
+  log::LogEntry record;  ///< the completion, prepare or decision record
+  log::LogRef recordRef;
+  const char* journalName = nullptr;
+  std::uint64_t journalSpan = 0;
+
+  void reject(net::Status s, std::uint64_t v) {
+    status = s;
+    version = v;
+    applied = false;
   }
-  auto finish = guard([this, tableId, keyId, clientId, seq, currentVersion,
-                       span, arrival, w, rec, tracked,
-                       respond = std::move(respond)](bool ok) mutable {
-    logLock_.release();
-    net::RpcResponse r;
-    if (!ok) {
-      r.status = net::Status::kError;
-      ++stats_.replicationFailures;
-      if (tracked) {
-        unacked_.abortInProgress(clientId, seq);
-        log_.markDead(rec);
-      }
-    } else {
-      r.status = net::Status::kVersionMismatch;
-      r.b = currentVersion;
-      if (tracked) {
-        UnackedRpcResults::Result rr;
-        rr.status = static_cast<std::uint8_t>(net::Status::kVersionMismatch);
-        rr.version = currentVersion;
-        rr.found = true;
-        rr.tableId = tableId;
-        rr.keyId = keyId;
-        rr.record = rec;
-        unacked_.recordCompletion(clientId, seq, rr);
-      }
-    }
-    ++stats_.writes;
-    stats_.writeServiceLatency.add(node_.sim().now() - arrival);
-    dispatch_.noteSojourn(node_.sim().now() - arrival);
-    stampTrace(span, obs::TimeTrace::Stage::kReplicationWait);
-    respond(std::move(r));
-    node_.cpu().releaseWorker(w);
-    maybeStartCleaner();
-  });
-  if (!tracked || params_.replication.factor <= 0) {
-    finish(true);
-  } else {
-    replicaMgr_.replicateAppend(rec.segment, params_.completionRecordBytes,
-                                std::move(finish));
-  }
-}
+};
 
-void MasterService::onTxPrepare(const net::RpcRequest& req,
-                                Responder respond) {
-  struct PrepCtx {
-    std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;
-    std::uint32_t valueBytes = 0;  ///< 0 = validation-only (read-only tx)
-    std::uint64_t expected = 0;
-    std::uint64_t txId = 0;
-    std::uint64_t clientId = 0;
-    std::uint64_t rpcSeq = 0;
-    std::uint64_t firstUnacked = 0;
-    std::uint64_t span = 0;
-    std::uint16_t tenant = 0;
-    sim::SimTime arrival = 0;
-    log::TxParticipants participants;
-    Responder respond;
-  };
-  auto cx = std::make_shared<PrepCtx>();
-  cx->tableId = req.a;
-  cx->keyId = req.b;
-  cx->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
-  cx->expected = req.c;
-  cx->txId = req.d;
-  cx->clientId = req.clientId;
-  cx->rpcSeq = req.rpcSeq;
-  cx->firstUnacked = req.firstUnacked;
-  cx->span = req.traceSpan;
-  cx->tenant = req.tenant;
-  cx->arrival = node_.sim().now();
-  cx->respond = std::move(respond);
+const MasterService::MutationOp MasterService::kWriteOp{
+    .cpu = &MasterParams::writeAppendCpu,
+    .convoy = true,
+    .counter = &MasterStats::writes,
+    .stub = true,
+    .blockedByTxLock = true,
+    .trackedOnly = false,
+    .readOnlyItems = false,
+    .decide = &MasterService::decideWrite};
+const MasterService::MutationOp MasterService::kRemoveOp{
+    .cpu = &MasterParams::removeServiceTime,
+    .convoy = false,
+    .counter = &MasterStats::removes,
+    .stub = false,
+    .blockedByTxLock = true,
+    .trackedOnly = false,
+    .readOnlyItems = false,
+    .decide = &MasterService::decideRemove};
+const MasterService::MutationOp MasterService::kTxPrepareOp{
+    .cpu = &MasterParams::writeAppendCpu,
+    .convoy = true,
+    .counter = &MasterStats::writes,
+    .stub = true,
+    .blockedByTxLock = false,
+    .trackedOnly = true,
+    .readOnlyItems = true,
+    .decide = &MasterService::decideTxPrepare};
+const MasterService::MutationOp MasterService::kTxDecisionOp{
+    .cpu = &MasterParams::writeAppendCpu,
+    .convoy = false,
+    .counter = &MasterStats::writes,
+    .stub = true,
+    .blockedByTxLock = false,
+    .trackedOnly = false,
+    .readOnlyItems = false,
+    .decide = &MasterService::decideTxDecision};
+
+void MasterService::mutate(const net::RpcRequest& req, Responder respond,
+                           const MutationOp& op) {
+  auto m = std::make_shared<Mutation>();
+  m->op = &op;
+  m->tableId = req.a;
+  m->keyId = req.b;
+  m->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
+  m->expected = req.c;
+  m->txId = req.d;
+  m->clientId = req.clientId;
+  m->rpcSeq = req.rpcSeq;
+  m->firstUnacked = req.firstUnacked;
+  m->span = req.traceSpan;
+  m->tenant = req.tenant;
+  m->arrival = node_.sim().now();
+  m->respond = std::move(respond);
+  m->counter = op.counter;
+  m->record.tableId = req.a;
+  m->record.keyId = req.b;
+  m->record.type = log::EntryType::kCompletion;
+  m->record.sizeBytes = params_.completionRecordBytes;
+  m->record.clientId = req.clientId;
+  m->record.rpcSeq = req.rpcSeq;
   if (req.keys && !req.keys->empty()) {
     // Participant key list packed as alternating (tableId, keyId) pairs.
     auto parts = std::make_shared<
@@ -713,526 +523,339 @@ void MasterService::onTxPrepare(const net::RpcRequest& req,
     for (std::size_t i = 0; i + 1 < req.keys->size(); i += 2) {
       parts->emplace_back((*req.keys)[i], (*req.keys)[i + 1]);
     }
-    cx->participants = std::move(parts);
+    m->participants = std::move(parts);
   }
 
-  dispatch_.enqueue(guard([this, cx]() mutable {
-    stampTrace(cx->span, obs::TimeTrace::Stage::kDispatchWait);
-    if (!ownsKey(cx->tableId, cx->keyId)) {
-      ++stats_.unknownTablet;
-      net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (isMigratingRange(cx->tableId,
-                         hash::keyHash(hash::Key{cx->tableId, cx->keyId}))) {
-      net::RpcResponse r;
-      r.status = net::Status::kRecovering;
-      cx->respond(std::move(r));
-      return;
-    }
-    noteTabletOp(cx->tableId, cx->keyId, /*isWrite=*/cx->valueBytes != 0);
-    if (cx->valueBytes == 0) {
-      // Validation-only item (read-only transaction, docs/TRANSACTIONS.md):
-      // check the read version is still current and the object unlocked.
-      // No lock, no log record — the client decides locally from the votes.
-      node_.cpu().acquireWorker(guard([this, cx](int w) mutable {
-        node_.cpu().tagWorker(w, {power::OpClass::kRead, cx->tenant});
-        node_.sim().schedule(
-            params_.readServiceTime, guard([this, cx, w]() mutable {
-              node_.cpu().releaseWorker(w);
-              const auto* loc = map_.get(hash::Key{cx->tableId, cx->keyId});
-              const std::uint64_t cur = loc != nullptr ? loc->version : 0;
-              const TxLockTable::Lock* lock =
-                  txLocks_.get(cx->tableId, cx->keyId);
-              net::RpcResponse r;
-              r.b = cur;
-              if (lock != nullptr && lock->txId != cx->txId) {
-                r.status = net::Status::kTxConflict;
-                txLocks_.countConflict();
-              } else if (cur != cx->expected) {
-                r.status = net::Status::kVersionMismatch;
-              }
-              stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-              cx->respond(std::move(r));
-            }));
+  dispatch_.enqueue(guard([this, m]() mutable {
+    if (!admit(m)) return;
+    node_.cpu().acquireWorker(guard([this, m](int w) mutable {
+      node_.cpu().tagWorker(w, {power::OpClass::kUpdate, m->tenant});
+      logLock_.acquire(guard([this, m, w]() mutable {
+        sim::Duration cpu = params_.*(m->op->cpu);
+        if (m->op->convoy) {
+          // Thread-handling cost under concurrency (Finding 2's root
+          // cause): the more distinct streams hammer this server, the more
+          // futile context switches each synced update eats. sqrt keeps
+          // the penalty sublinear, as fitted to Table II.
+          const double streams = static_cast<double>(concurrentStreams());
+          cpu += sim::usecF(params_.convoyPenaltyUs * std::sqrt(streams));
+        }
+        node_.sim().schedule(cpu, guard([this, m, w]() mutable {
+          applyMutation(m, w);
+        }));
       }));
-      return;
-    }
-    if (cx->clientId == 0) {
-      // A locking prepare must be RIFL-tracked: without a lease there is no
-      // owner to reclaim the lock from when the client dies.
-      net::RpcResponse r;
-      r.status = net::Status::kError;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (directory_.leaseValid && !directory_.leaseValid(cx->clientId)) {
-      net::RpcResponse r;
-      r.status = net::Status::kExpiredLease;
-      cx->respond(std::move(r));
-      return;
-    }
+    }));
+  }));
+}
+
+bool MasterService::admit(const std::shared_ptr<Mutation>& m) {
+  // Stamped before any bounce, so a refused request's server time is still
+  // charged to dispatch_wait.
+  stampTrace(m->span, obs::TimeTrace::Stage::kDispatchWait);
+  const bool validateOnly = m->op->readOnlyItems && m->valueBytes == 0;
+  net::RpcResponse r;
+  r.status = admitKey(m->tableId, m->keyId, /*bounceMigrating=*/true,
+                      /*isWrite=*/!validateOnly);
+  if (r.status != net::Status::kOk) {
+    m->respond(std::move(r));
+    return false;
+  }
+  if (validateOnly) {
+    validateTxRead(m);
+    return false;
+  }
+  if (m->clientId == 0) {
+    if (!m->op->trackedOnly) return true;
+    // A locking prepare must be RIFL-tracked: without a lease there is no
+    // owner to reclaim the lock from when the client dies.
+    r.status = net::Status::kError;
+  } else if (directory_.leaseValid && !directory_.leaseValid(m->clientId)) {
+    r.status = net::Status::kExpiredLease;
+  } else {
+    // RIFL admission: check the suppression table before burning a worker
+    // on a duplicate.
     startLeaseReclaim();
     std::vector<log::LogRef> freed;
     const auto adm =
-        unacked_.begin(cx->clientId, cx->rpcSeq, cx->firstUnacked, &freed);
+        unacked_.begin(m->clientId, m->rpcSeq, m->firstUnacked, &freed);
     releaseCompletionRecords(freed);
     switch (adm.check) {
-      case UnackedRpcResults::Check::kCompleted: {
-        net::RpcResponse r;
-        r.status = static_cast<net::Status>(adm.result.status);
-        r.b = adm.result.version;
-        cx->respond(std::move(r));
-        return;
-      }
-      case UnackedRpcResults::Check::kInProgress: {
-        net::RpcResponse r;
-        r.status = net::Status::kRecovering;
-        cx->respond(std::move(r));
-        return;
-      }
-      case UnackedRpcResults::Check::kStale: {
-        net::RpcResponse r;
-        r.status = net::Status::kStaleRpc;
-        cx->respond(std::move(r));
-        return;
-      }
       case UnackedRpcResults::Check::kNew:
+        return true;
+      case UnackedRpcResults::Check::kCompleted:
+        // Duplicate of a finished op: replay the recorded outcome, never
+        // re-execute (the original may have been a different value).
+        r.status = static_cast<net::Status>(adm.result.status);
+        r.a = adm.result.found ? 1 : 0;
+        r.b = adm.result.version;
+        break;
+      case UnackedRpcResults::Check::kInProgress:
+        // First attempt still replicating; the retry backs off like a
+        // recovery wait and re-probes.
+        r.status = net::Status::kRecovering;
+        break;
+      case UnackedRpcResults::Check::kStale:
+        r.status = net::Status::kStaleRpc;
         break;
     }
-    node_.cpu().acquireWorker(guard([this, cx](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kUpdate, cx->tenant});
-      logLock_.acquire(guard([this, cx, w]() mutable {
-        const int streams = concurrentStreams();
-        const sim::Duration penalty = sim::usecF(
-            params_.convoyPenaltyUs * std::sqrt(static_cast<double>(streams)));
-        node_.sim().schedule(
-            params_.writeAppendCpu + penalty, guard([this, cx, w]() mutable {
-              // Vote checks under the append lock: fence, lock, version.
-              if (txLocks_.isFencedAborted(cx->txId)) {
-                onTxPrepareReject(cx->tableId, cx->keyId, cx->clientId,
-                                  cx->rpcSeq, net::Status::kTxConflict, 0,
-                                  cx->span, cx->tenant, w,
-                                  std::move(cx->respond));
-                return;
-              }
-              if (txLocks_.voteStatus(cx->txId) == 2) {
-                // The tx already committed here (orphan resolution beat a
-                // stale prepare retry). Answer yes durably, without a lock:
-                // a version-mismatch reject would make the client report
-                // abort for data that committed.
-                const auto* cl = map_.get(hash::Key{cx->tableId, cx->keyId});
-                onTxPrepareReject(cx->tableId, cx->keyId, cx->clientId,
-                                  cx->rpcSeq, net::Status::kOk,
-                                  cl != nullptr ? cl->version : 0, cx->span,
-                                  cx->tenant, w, std::move(cx->respond));
-                return;
-              }
-              const TxLockTable::Lock* held =
-                  txLocks_.get(cx->tableId, cx->keyId);
-              if (held != nullptr && held->txId != cx->txId) {
-                txLocks_.countConflict();
-                onTxPrepareReject(cx->tableId, cx->keyId, cx->clientId,
-                                  cx->rpcSeq, net::Status::kTxConflict,
-                                  held->expectedVersion, cx->span, cx->tenant,
-                                  w, std::move(cx->respond));
-                return;
-              }
-              const auto* loc = map_.get(hash::Key{cx->tableId, cx->keyId});
-              const std::uint64_t cur = loc != nullptr ? loc->version : 0;
-              // expected == 0 means blind write (same convention as
-              // onWrite's conditional check).
-              if (held == nullptr && cx->expected != 0 &&
-                  cur != cx->expected) {
-                onTxPrepareReject(cx->tableId, cx->keyId, cx->clientId,
-                                  cx->rpcSeq, net::Status::kVersionMismatch,
-                                  cur, cx->span, cx->tenant, w,
-                                  std::move(cx->respond));
-                return;
-              }
-              // Vote yes: durable prepare record, then the lock.
-              ensureHeadRoom(params_.txPrepareRecordBytes);
-              log::LogEntry p;
-              p.tableId = cx->tableId;
-              p.keyId = cx->keyId;
-              p.sizeBytes = params_.txPrepareRecordBytes;
-              p.version = cur;
-              p.type = log::EntryType::kTxPrepare;
-              p.clientId = cx->clientId;
-              p.rpcSeq = cx->rpcSeq;
-              p.opStatus = static_cast<std::uint8_t>(net::Status::kOk);
-              p.txId = cx->txId;
-              p.txPendingBytes = cx->valueBytes;
-              p.txExpectedVersion = cx->expected;
-              p.txParticipants = cx->participants;
-              const log::LogRef rec = log_.append(p, node_.sim().now());
-              node_.chargeDram(p.sizeBytes,
-                               {power::OpClass::kUpdate, cx->tenant});
-              stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-              std::uint64_t prepSpan = 0;
-              if (journal_ != nullptr) {
-                prepSpan = journal_->beginSpan(
-                    "tx_prepare", static_cast<int>(node_.id()), 0, cx->txId);
-              }
-              auto finish = guard([this, cx, w, rec, cur,
-                                   prepSpan](bool ok) mutable {
-                logLock_.release();
-                net::RpcResponse r;
-                if (!ok) {
-                  r.status = net::Status::kError;
-                  ++stats_.replicationFailures;
-                  unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                  log_.markDead(rec);
-                } else {
-                  // Re-prepare by the same tx (lease-expiry retry under a
-                  // new clientId): drop the superseded record so it does
-                  // not pin live bytes forever.
-                  const TxLockTable::Lock* prev =
-                      txLocks_.get(cx->tableId, cx->keyId);
-                  if (prev != nullptr && prev->prepareRecord.valid() &&
-                      !(prev->prepareRecord == rec) &&
-                      log_.segment(prev->prepareRecord.segment) != nullptr) {
-                    log_.markDead(prev->prepareRecord);
-                  }
-                  TxLockTable::Lock lock;
-                  lock.txId = cx->txId;
-                  lock.clientId = cx->clientId;
-                  lock.rpcSeq = cx->rpcSeq;
-                  lock.tableId = cx->tableId;
-                  lock.keyId = cx->keyId;
-                  lock.pendingValueBytes = cx->valueBytes;
-                  lock.expectedVersion = cx->expected;
-                  lock.prepareRecord = rec;
-                  lock.participants = cx->participants;
-                  lock.preparedAt = node_.sim().now();
-                  lock.recordOwnedByUnacked = true;
-                  txLocks_.acquire(std::move(lock));
-                  txLocks_.countPrepare();
-                  UnackedRpcResults::Result rr;
-                  rr.status = static_cast<std::uint8_t>(net::Status::kOk);
-                  rr.version = cur;
-                  rr.found = true;
-                  rr.tableId = cx->tableId;
-                  rr.keyId = cx->keyId;
-                  rr.record = rec;
-                  unacked_.recordCompletion(cx->clientId, cx->rpcSeq, rr);
-                  r.b = cur;
-                }
-                ++stats_.writes;
-                stats_.writeServiceLatency.add(node_.sim().now() -
-                                               cx->arrival);
-                dispatch_.noteSojourn(node_.sim().now() - cx->arrival);
-                stampTrace(cx->span, obs::TimeTrace::Stage::kReplicationWait);
-                if (journal_ != nullptr && prepSpan != 0) {
-                  journal_->endSpan(prepSpan);
-                }
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                maybeStartCleaner();
-              });
-              if (params_.replication.factor <= 0) {
-                node_.sim().schedule(
-                    params_.unreplicatedSyncTime,
-                    guard([finish = std::move(finish)]() mutable {
-                      finish(true);
-                    }));
-              } else {
-                replicaMgr_.replicateAppend(rec.segment, p.sizeBytes,
-                                            std::move(finish));
-              }
-            }));
-      }));
-    }));
+  }
+  m->respond(std::move(r));
+  return false;
+}
+
+void MasterService::validateTxRead(const std::shared_ptr<Mutation>& m) {
+  // Read-only transaction item (docs/TRANSACTIONS.md): check the read
+  // version is still current and the object unlocked. No lock, no log
+  // record — the client decides locally from the votes.
+  node_.cpu().acquireWorker(guard([this, m](int w) mutable {
+    node_.cpu().tagWorker(w, {power::OpClass::kRead, m->tenant});
+    node_.sim().schedule(
+        params_.readServiceTime, guard([this, m, w]() mutable {
+          node_.cpu().releaseWorker(w);
+          const TxLockTable::Lock* lock = txLocks_.get(m->tableId, m->keyId);
+          net::RpcResponse r;
+          r.b = versionOf(m->tableId, m->keyId);
+          if (lock != nullptr && lock->txId != m->txId) {
+            r.status = net::Status::kTxConflict;
+            txLocks_.countConflict();
+          } else if (r.b != m->expected) {
+            r.status = net::Status::kVersionMismatch;
+          }
+          stampTrace(m->span, obs::TimeTrace::Stage::kWorkerService);
+          m->respond(std::move(r));
+        }));
   }));
 }
 
-void MasterService::onTxPrepareReject(std::uint64_t tableId,
-                                      std::uint64_t keyId,
-                                      std::uint64_t clientId, std::uint64_t seq,
-                                      net::Status verdict,
-                                      std::uint64_t currentVersion,
-                                      std::uint64_t span, std::uint16_t tenant,
-                                      int w, Responder respond) {
-  // A vote-no is an outcome: record it durably so a duplicate prepare retry
-  // replays the same no (a vote must never flip once given).
-  const log::LogRef rec = appendCompletion(tableId, keyId, clientId, seq,
-                                           currentVersion, verdict, true);
-  node_.chargeDram(params_.completionRecordBytes,
-                   {power::OpClass::kUpdate, tenant});
-  auto finish = guard([this, clientId, seq, verdict, currentVersion, tableId,
-                       keyId, span, w, rec,
-                       respond = std::move(respond)](bool ok) mutable {
-    logLock_.release();
-    net::RpcResponse r;
-    if (!ok) {
-      r.status = net::Status::kError;
-      ++stats_.replicationFailures;
-      unacked_.abortInProgress(clientId, seq);
-      log_.markDead(rec);
-    } else {
-      r.status = verdict;
-      r.b = currentVersion;
-      UnackedRpcResults::Result rr;
-      rr.status = static_cast<std::uint8_t>(verdict);
-      rr.version = currentVersion;
-      rr.found = true;
-      rr.tableId = tableId;
-      rr.keyId = keyId;
-      rr.record = rec;
-      unacked_.recordCompletion(clientId, seq, rr);
+void MasterService::decideWrite(Mutation& m, const TxLockTable::Lock*) {
+  if (m.expected != 0) {
+    // Conditional check under the append lock: an interleaved writer cannot
+    // slip between check and apply. The rejection is recorded too, so a
+    // duplicate retry replays kVersionMismatch instead of re-running the
+    // check against whatever version exists by then.
+    const std::uint64_t cur = versionOf(m.tableId, m.keyId);
+    if (cur != m.expected) {
+      m.reject(net::Status::kVersionMismatch, cur);
+      return;
     }
-    stampTrace(span, obs::TimeTrace::Stage::kReplicationWait);
-    respond(std::move(r));
-    node_.cpu().releaseWorker(w);
-    maybeStartCleaner();
-  });
-  if (params_.replication.factor <= 0) {
-    finish(true);
+  }
+  m.objectBytes = m.valueBytes + params_.objectOverheadBytes;
+  m.crashPoint = true;
+}
+
+void MasterService::decideRemove(Mutation& m, const TxLockTable::Lock*) {
+  // A not-found remove is recorded too: the retry must see the original
+  // answer, not whatever a later write put there.
+  m.found = map_.get(hash::Key{m.tableId, m.keyId}) != nullptr;
+  if (m.found) {
+    m.objectBytes = params_.tombstoneBytes;
+    m.objectType = log::EntryType::kTombstone;
   } else {
-    replicaMgr_.replicateAppend(rec.segment, params_.completionRecordBytes,
-                                std::move(finish));
+    ++stats_.missingKeys;
+  }
+  m.crashPoint = true;
+}
+
+void MasterService::decideTxPrepare(Mutation& m,
+                                    const TxLockTable::Lock* held) {
+  // Vote checks under the append lock: fence, lock, version. A vote-no is
+  // an outcome: recorded so a duplicate prepare retry replays the same no
+  // (a vote must never flip once given). Recorded votes count no write.
+  const std::uint64_t cur = versionOf(m.tableId, m.keyId);
+  auto vote = [&m](net::Status s, std::uint64_t v) {
+    m.reject(s, v);
+    m.counter = nullptr;
+  };
+  if (txLocks_.isFencedAborted(m.txId)) {
+    vote(net::Status::kTxConflict, 0);
+  } else if (txLocks_.voteStatus(m.txId) == 2) {
+    // The tx already committed here (orphan resolution beat a stale prepare
+    // retry). Answer yes durably, without a lock: a version-mismatch reject
+    // would make the client report abort for data that committed.
+    vote(net::Status::kOk, cur);
+  } else if (held != nullptr && held->txId != m.txId) {
+    txLocks_.countConflict();
+    vote(net::Status::kTxConflict, held->expectedVersion);
+  } else if (held == nullptr && m.expected != 0 && cur != m.expected) {
+    // expected == 0 means blind write (same convention as decideWrite).
+    vote(net::Status::kVersionMismatch, cur);
+  } else {
+    // Vote yes: a durable prepare record; finish() takes the lock.
+    m.version = cur;
+    m.record.type = log::EntryType::kTxPrepare;
+    m.record.sizeBytes = params_.txPrepareRecordBytes;
+    m.record.txId = m.txId;
+    m.record.txPendingBytes = m.valueBytes;
+    m.record.txExpectedVersion = m.expected;
+    m.record.txParticipants = m.participants;
+    m.journalName = "tx_prepare";
   }
 }
 
-void MasterService::onTxDecision(const net::RpcRequest& req,
-                                 Responder respond) {
-  struct DecCtx {
-    std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;
-    bool commit = false;
-    bool fromResolution = false;
-    std::uint64_t txId = 0;
-    std::uint64_t clientId = 0;
-    std::uint64_t rpcSeq = 0;
-    std::uint64_t firstUnacked = 0;
-    std::uint64_t span = 0;
-    std::uint16_t tenant = 0;
-    sim::SimTime arrival = 0;
-    Responder respond;
-  };
-  auto cx = std::make_shared<DecCtx>();
-  cx->tableId = req.a;
-  cx->keyId = req.b;
-  cx->commit = (req.c & 1) != 0;
-  cx->fromResolution = (req.c & 2) != 0;
-  cx->txId = req.d;
-  cx->clientId = req.clientId;
-  cx->rpcSeq = req.rpcSeq;
-  cx->firstUnacked = req.firstUnacked;
-  cx->span = req.traceSpan;
-  cx->tenant = req.tenant;
-  cx->arrival = node_.sim().now();
-  cx->respond = std::move(respond);
+void MasterService::decideTxDecision(Mutation& m,
+                                     const TxLockTable::Lock* lock) {
+  if (lock == nullptr || lock->txId != m.txId) {
+    // No lock for this tx here (already resolved, or never prepared): the
+    // answer must still be durable so a retry replays it instead of racing
+    // whatever happens later.
+    m.found = false;
+    m.version = versionOf(m.tableId, m.keyId);
+    return;
+  }
+  // Apply: object write (commit only) + decision record land in one
+  // segment so they recover atomically; finish() releases the lock.
+  const bool commit = (m.expected & 1) != 0;
+  if (commit) {
+    m.objectBytes = lock->pendingValueBytes + params_.objectOverheadBytes;
+  }
+  m.record.type = log::EntryType::kTxDecision;
+  m.record.txId = m.txId;
+  m.record.txCommit = commit;
+  if (m.clientId == 0) m.record.clientId = lock->clientId;
+  m.journalName = commit ? "tx_commit" : "tx_abort";
+  // Fault point "crash a participant mid-commit".
+  m.crashPoint = true;
+}
 
-  dispatch_.enqueue(guard([this, cx]() mutable {
-    stampTrace(cx->span, obs::TimeTrace::Stage::kDispatchWait);
-    if (!ownsKey(cx->tableId, cx->keyId)) {
-      ++stats_.unknownTablet;
-      net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
-      cx->respond(std::move(r));
-      return;
+void MasterService::applyMutation(const std::shared_ptr<Mutation>& m,
+                                  int w) {
+  const bool tracked = m->clientId != 0;
+  const TxLockTable::Lock* held = txLocks_.get(m->tableId, m->keyId);
+  if (held != nullptr && m->op->blockedByTxLock) {
+    // A prepared minitransaction holds this object's version lock: a plain
+    // write slipping underneath would invalidate the vote that participant
+    // already cast. Reject; the writer retries after the decision releases
+    // the lock. Nothing mutated, so the RIFL entry rolls back (a retry
+    // re-runs the check) instead of recording a durable verdict.
+    txLocks_.countConflict();
+    if (tracked) unacked_.abortInProgress(m->clientId, m->rpcSeq);
+    net::RpcResponse r;
+    r.status = net::Status::kTxConflict;
+    r.b = held->expectedVersion;
+    stampTrace(m->span, obs::TimeTrace::Stage::kWorkerService);
+    logLock_.release();
+    m->respond(std::move(r));
+    node_.cpu().releaseWorker(w);
+    return;
+  }
+  (this->*m->op->decide)(*m, held);
+  // A completion record backs a tracked RPC only; prepare and decision
+  // records are always written.
+  const bool recorded =
+      tracked || m->record.type != log::EntryType::kCompletion;
+  // The object and its record must recover atomically, so they may not
+  // straddle segments.
+  ensureHeadRoom(m->objectBytes + (recorded ? m->record.sizeBytes : 0));
+  std::uint32_t bytes = 0;
+  log::LogRef last;
+  if (m->objectBytes != 0) {
+    const ApplyResult res =
+        applyObject(m->tableId, m->keyId, m->objectBytes, m->objectType);
+    m->version = res.version;
+    last = res.ref;
+    bytes += res.entryBytes;
+  }
+  if (recorded) {
+    m->record.version = m->version;
+    m->record.opStatus = static_cast<std::uint8_t>(m->status);
+    m->record.found = m->found;
+    m->recordRef = last = log_.append(m->record, node_.sim().now());
+    bytes += m->record.sizeBytes;
+  }
+  node_.chargeDram(bytes, {power::OpClass::kUpdate, m->tenant});
+  // Hash/log work done; what follows is the log-sync / replication fan-out
+  // the paper's Finding 3 is about.
+  if (m->applied) stampTrace(m->span, obs::TimeTrace::Stage::kWorkerService);
+  if (journal_ != nullptr && m->journalName != nullptr) {
+    m->journalSpan = journal_->beginSpan(
+        m->journalName, static_cast<int>(node_.id()), 0, m->txId);
+  }
+  auto done = guard([this, m, w](bool ok) { finish(*m, w, ok); });
+  if (params_.replication.factor > 0 && bytes != 0) {
+    // Object + record sync as one append (one segment, see above).
+    replicaMgr_.replicateAppend(last.segment, bytes, std::move(done));
+  } else if (bytes != 0 && m->applied && m->op->stub) {
+    // Log sync without backups still pays RAMCloud's thread-handling
+    // overhead (see MasterParams).
+    node_.sim().schedule(params_.unreplicatedSyncTime,
+                         guard([done = std::move(done)]() mutable {
+                           done(true);
+                         }));
+  } else {
+    done(true);
+  }
+}
+
+void MasterService::finish(Mutation& m, int w, bool ok) {
+  logLock_.release();
+  const bool tracked = m.clientId != 0;
+  net::RpcResponse r;
+  if (!ok) {
+    // Nothing durably recorded: the retry re-executes. A tx lock stays
+    // held; the retry (or the resolution sweep) re-applies the decision.
+    r.status = net::Status::kError;
+    ++stats_.replicationFailures;
+    if (tracked) unacked_.abortInProgress(m.clientId, m.rpcSeq);
+    if (m.recordRef.valid()) log_.markDead(m.recordRef);
+  } else {
+    if (m.record.type == log::EntryType::kTxPrepare) {
+      // Re-prepare by the same tx (lease-expiry retry under a new
+      // clientId): drop the superseded record so it does not pin live
+      // bytes forever.
+      const TxLockTable::Lock* prev = txLocks_.get(m.tableId, m.keyId);
+      if (prev != nullptr && prev->prepareRecord.valid() &&
+          !(prev->prepareRecord == m.recordRef) &&
+          log_.segment(prev->prepareRecord.segment) != nullptr) {
+        log_.markDead(prev->prepareRecord);
+      }
+      installTxLock(m.record, m.recordRef, /*ownedByUnacked=*/true);
+      txLocks_.countPrepare();
+    } else if (TxLockTable::Lock released;
+               m.record.type == log::EntryType::kTxDecision &&
+               txLocks_.release(m.tableId, m.keyId, m.txId, &released)) {
+      // The prepare record has served its purpose: without it, crash
+      // replay cannot resurrect the lock (the decision record fences
+      // retries). markDead is idempotent wrt the suppression table's GC.
+      if (released.prepareRecord.valid() &&
+          log_.segment(released.prepareRecord.segment) != nullptr) {
+        log_.markDead(released.prepareRecord);
+      }
+      txLocks_.countDecision(m.record.txCommit, (m.expected & 2) != 0);
+      txLocks_.noteResolved(m.txId, m.record.txCommit, released.clientId,
+                            m.tableId, m.keyId, m.recordRef, tracked,
+                            node_.sim().now());
     }
-    if (isMigratingRange(cx->tableId,
-                         hash::keyHash(hash::Key{cx->tableId, cx->keyId}))) {
-      net::RpcResponse r;
-      r.status = net::Status::kRecovering;
-      cx->respond(std::move(r));
-      return;
-    }
-    noteTabletOp(cx->tableId, cx->keyId, /*isWrite=*/true);
-    const bool tracked = cx->clientId != 0;
     if (tracked) {
-      if (directory_.leaseValid && !directory_.leaseValid(cx->clientId)) {
-        net::RpcResponse r;
-        r.status = net::Status::kExpiredLease;
-        cx->respond(std::move(r));
-        return;
-      }
-      startLeaseReclaim();
-      std::vector<log::LogRef> freed;
-      const auto adm =
-          unacked_.begin(cx->clientId, cx->rpcSeq, cx->firstUnacked, &freed);
-      releaseCompletionRecords(freed);
-      switch (adm.check) {
-        case UnackedRpcResults::Check::kCompleted: {
-          // Duplicate kTxCommit retry after a dropped reply: replay the
-          // recorded outcome, never re-apply the decision.
-          net::RpcResponse r;
-          r.status = static_cast<net::Status>(adm.result.status);
-          r.a = adm.result.found ? 1 : 0;
-          r.b = adm.result.version;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kInProgress: {
-          net::RpcResponse r;
-          r.status = net::Status::kRecovering;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kStale: {
-          net::RpcResponse r;
-          r.status = net::Status::kStaleRpc;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kNew:
-          break;
-      }
+      unacked_.recordCompletion(
+          m.clientId, m.rpcSeq,
+          UnackedRpcResults::resultOf(m.record, m.recordRef));
     }
-    node_.cpu().acquireWorker(guard([this, cx, tracked](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kUpdate, cx->tenant});
-      logLock_.acquire(guard([this, cx, tracked, w]() mutable {
-        node_.sim().schedule(
-            params_.writeAppendCpu, guard([this, cx, tracked, w]() mutable {
-              const TxLockTable::Lock* lock =
-                  txLocks_.get(cx->tableId, cx->keyId);
-              const bool haveLock =
-                  lock != nullptr && lock->txId == cx->txId;
-              std::uint64_t newVersion = 0;
-              std::uint32_t entryBytes = 0;
-              log::LogRef decRec;
-              log::LogRef lastRef;
-              if (haveLock) {
-                // Apply: object write (commit only) + decision record land
-                // in one segment so they recover atomically.
-                const std::uint32_t objBytes =
-                    cx->commit ? lock->pendingValueBytes +
-                                     params_.objectOverheadBytes
-                               : 0;
-                ensureHeadRoom(objBytes + params_.completionRecordBytes);
-                if (cx->commit) {
-                  const ApplyResult res = applyWrite(
-                      cx->tableId, cx->keyId, lock->pendingValueBytes);
-                  newVersion = res.version;
-                  entryBytes += res.entryBytes;
-                }
-                log::LogEntry d;
-                d.tableId = cx->tableId;
-                d.keyId = cx->keyId;
-                d.sizeBytes = params_.completionRecordBytes;
-                d.version = newVersion;
-                d.type = log::EntryType::kTxDecision;
-                d.clientId = tracked ? cx->clientId : lock->clientId;
-                d.rpcSeq = tracked ? cx->rpcSeq : 0;
-                d.opStatus = static_cast<std::uint8_t>(net::Status::kOk);
-                d.txId = cx->txId;
-                d.txCommit = cx->commit;
-                decRec = log_.append(d, node_.sim().now());
-                entryBytes += d.sizeBytes;
-                lastRef = decRec;
-                node_.chargeDram(entryBytes,
-                                 {power::OpClass::kUpdate, cx->tenant});
-              } else if (tracked) {
-                // No lock for this tx here (already resolved, or never
-                // prepared): the answer must still be durable so a retry
-                // replays it instead of racing whatever happens later.
-                const auto* loc = map_.get(hash::Key{cx->tableId, cx->keyId});
-                newVersion = loc != nullptr ? loc->version : 0;
-                ensureHeadRoom(params_.completionRecordBytes);
-                decRec = appendCompletion(cx->tableId, cx->keyId,
-                                          cx->clientId, cx->rpcSeq,
-                                          newVersion, net::Status::kOk,
-                                          false);
-                entryBytes = params_.completionRecordBytes;
-                lastRef = decRec;
-                node_.chargeDram(entryBytes,
-                                 {power::OpClass::kUpdate, cx->tenant});
-              }
-              stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-              std::uint64_t decSpan = 0;
-              if (journal_ != nullptr && haveLock) {
-                decSpan = journal_->beginSpan(
-                    cx->commit ? "tx_commit" : "tx_abort",
-                    static_cast<int>(node_.id()), 0, cx->txId);
-              }
-              auto finish = guard([this, cx, tracked, w, haveLock, decRec,
-                                   newVersion, decSpan](bool ok) mutable {
-                logLock_.release();
-                net::RpcResponse r;
-                if (!ok) {
-                  r.status = net::Status::kError;
-                  ++stats_.replicationFailures;
-                  if (tracked) {
-                    unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                  }
-                  if (decRec.valid()) log_.markDead(decRec);
-                  // The lock stays held; the retry (or the resolution
-                  // sweep) re-applies the decision.
-                } else {
-                  if (haveLock) {
-                    TxLockTable::Lock released;
-                    if (txLocks_.release(cx->tableId, cx->keyId, cx->txId,
-                                         &released)) {
-                      // The prepare record has served its purpose: without
-                      // it, crash replay cannot resurrect the lock (the
-                      // decision record fences retries). markDead is
-                      // idempotent wrt the suppression table's later GC.
-                      if (released.prepareRecord.valid() &&
-                          log_.segment(released.prepareRecord.segment) !=
-                              nullptr) {
-                        log_.markDead(released.prepareRecord);
-                      }
-                      txLocks_.countDecision(cx->commit, cx->fromResolution);
-                      txLocks_.noteResolved(cx->txId, cx->commit,
-                                            released.clientId, cx->tableId,
-                                            cx->keyId, decRec, tracked,
-                                            node_.sim().now());
-                    }
-                  }
-                  if (tracked) {
-                    UnackedRpcResults::Result rr;
-                    rr.status = static_cast<std::uint8_t>(net::Status::kOk);
-                    rr.version = newVersion;
-                    rr.found = haveLock;
-                    rr.tableId = cx->tableId;
-                    rr.keyId = cx->keyId;
-                    rr.record = decRec;
-                    unacked_.recordCompletion(cx->clientId, cx->rpcSeq, rr);
-                  }
-                  r.a = haveLock ? 1 : 0;
-                  r.b = newVersion;
-                }
-                ++stats_.writes;
-                stats_.writeServiceLatency.add(node_.sim().now() -
-                                               cx->arrival);
-                dispatch_.noteSojourn(node_.sim().now() - cx->arrival);
-                stampTrace(cx->span, obs::TimeTrace::Stage::kReplicationWait);
-                if (journal_ != nullptr && decSpan != 0) {
-                  journal_->endSpan(decSpan);
-                }
-                if (ok && haveLock && crashBeforeReplyHook_) {
-                  // Fault point "crash a participant mid-commit": decision
-                  // durable and applied, reply never leaves this node.
-                  auto hook = std::move(crashBeforeReplyHook_);
-                  crashBeforeReplyHook_ = nullptr;
-                  node_.cpu().releaseWorker(w);
-                  hook();
-                  return;
-                }
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                maybeStartCleaner();
-              });
-              if (entryBytes == 0) {
-                finish(true);
-              } else if (params_.replication.factor <= 0) {
-                node_.sim().schedule(
-                    params_.unreplicatedSyncTime,
-                    guard([finish = std::move(finish)]() mutable {
-                      finish(true);
-                    }));
-              } else {
-                replicaMgr_.replicateAppend(lastRef.segment, entryBytes,
-                                            std::move(finish));
-              }
-            }));
-      }));
-    }));
-  }));
+    r.status = m.status;
+    r.a = m.found ? 1 : 0;
+    r.b = m.version;
+  }
+  if (m.counter != nullptr) {
+    ++(stats_.*m.counter);
+    stats_.writeServiceLatency.add(node_.sim().now() - m.arrival);
+    dispatch_.noteSojourn(node_.sim().now() - m.arrival);
+  }
+  stampTrace(m.span, obs::TimeTrace::Stage::kReplicationWait);
+  if (journal_ != nullptr && m.journalSpan != 0) {
+    journal_->endSpan(m.journalSpan);
+  }
+  if (ok && m.crashPoint && crashBeforeReplyHook_) {
+    // Fault point: the op is durable (and recorded) but the reply never
+    // leaves — the injector crashes us from the hook and the client's
+    // retry lands on the new owner.
+    auto hook = std::move(crashBeforeReplyHook_);
+    crashBeforeReplyHook_ = nullptr;
+    node_.cpu().releaseWorker(w);
+    hook();
+    return;
+  }
+  m.respond(std::move(r));
+  node_.cpu().releaseWorker(w);
+  maybeStartCleaner();
 }
 
 void MasterService::onTxVote(const net::RpcRequest& req, Responder respond) {
@@ -1298,9 +921,9 @@ void MasterService::sweepOrphanedTx() {
   }
 }
 
-bool MasterService::installRecoveredTxLock(const log::LogEntry& prepare,
-                                           const log::LogRef& ref,
-                                           bool ownedByUnacked) {
+bool MasterService::installTxLock(const log::LogEntry& prepare,
+                                  const log::LogRef& ref,
+                                  bool ownedByUnacked) {
   TxLockTable::Lock lock;
   lock.txId = prepare.txId;
   lock.clientId = prepare.clientId;
@@ -1316,185 +939,6 @@ bool MasterService::installRecoveredTxLock(const log::LogEntry& prepare,
   if (!txLocks_.acquire(std::move(lock))) return false;
   startLeaseReclaim();  // the sweep is what resolves orphans
   return true;
-}
-
-void MasterService::onRemove(const net::RpcRequest& req, Responder respond) {
-  struct RemoveCtx {
-    std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;
-    std::uint64_t clientId = 0;
-    std::uint64_t rpcSeq = 0;
-    std::uint64_t firstUnacked = 0;
-    std::uint16_t tenant = 0;
-    Responder respond;
-  };
-  auto cx = std::make_shared<RemoveCtx>();
-  cx->tableId = req.a;
-  cx->keyId = req.b;
-  cx->clientId = req.clientId;
-  cx->rpcSeq = req.rpcSeq;
-  cx->firstUnacked = req.firstUnacked;
-  cx->tenant = req.tenant;
-  cx->respond = std::move(respond);
-
-  dispatch_.enqueue(guard([this, cx]() mutable {
-    if (!ownsKey(cx->tableId, cx->keyId)) {
-      ++stats_.unknownTablet;
-      net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (isMigratingRange(cx->tableId,
-                         hash::keyHash(hash::Key{cx->tableId, cx->keyId}))) {
-      net::RpcResponse r;
-      r.status = net::Status::kRecovering;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (cx->clientId != 0) {
-      if (directory_.leaseValid && !directory_.leaseValid(cx->clientId)) {
-        net::RpcResponse r;
-        r.status = net::Status::kExpiredLease;
-        cx->respond(std::move(r));
-        return;
-      }
-      startLeaseReclaim();
-      std::vector<log::LogRef> freed;
-      const auto adm =
-          unacked_.begin(cx->clientId, cx->rpcSeq, cx->firstUnacked, &freed);
-      releaseCompletionRecords(freed);
-      switch (adm.check) {
-        case UnackedRpcResults::Check::kCompleted: {
-          net::RpcResponse r;
-          r.status = static_cast<net::Status>(adm.result.status);
-          r.a = adm.result.found ? 1 : 0;
-          r.b = adm.result.version;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kInProgress: {
-          net::RpcResponse r;
-          r.status = net::Status::kRecovering;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kStale: {
-          net::RpcResponse r;
-          r.status = net::Status::kStaleRpc;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kNew:
-          break;
-      }
-    }
-    node_.cpu().acquireWorker(guard([this, cx](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kUpdate, cx->tenant});
-      logLock_.acquire(guard([this, cx, w]() mutable {
-        node_.sim().schedule(
-            params_.removeServiceTime, guard([this, cx, w]() mutable {
-              const bool tracked = cx->clientId != 0;
-              if (const TxLockTable::Lock* held =
-                      txLocks_.get(cx->tableId, cx->keyId);
-                  held != nullptr) {
-                // Same rule as onWrite: a prepared transaction's version
-                // lock blocks the remove until its decision lands.
-                txLocks_.countConflict();
-                if (tracked) {
-                  unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                }
-                net::RpcResponse r;
-                r.status = net::Status::kTxConflict;
-                r.b = held->expectedVersion;
-                logLock_.release();
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                return;
-              }
-              const hash::Key k{cx->tableId, cx->keyId};
-              const auto* loc = map_.get(k);
-              net::RpcResponse r;
-              std::uint32_t entryBytes = 0;
-              log::LogRef lastRef;
-              std::uint64_t version = 0;
-              const bool found = loc != nullptr;
-              if (found) {
-                if (tracked) {
-                  ensureHeadRoom(params_.tombstoneBytes +
-                                 params_.completionRecordBytes);
-                }
-                log::LogEntry t;
-                t.tableId = cx->tableId;
-                t.keyId = cx->keyId;
-                t.sizeBytes = params_.tombstoneBytes;
-                t.version = log_.nextVersion();
-                t.type = log::EntryType::kTombstone;
-                t.refSegment = loc->ref.segment;
-                lastRef = log_.append(t, node_.sim().now());
-                entryBytes = t.sizeBytes;
-                version = t.version;
-                log_.markDead(loc->ref);
-                map_.erase(k);
-                r.a = 1;
-              } else {
-                r.a = 0;
-              }
-              log::LogRef rec;
-              if (tracked) {
-                // Even a not-found remove gets a record: the retry must
-                // see the original answer, not whatever a later write put
-                // there.
-                rec = appendCompletion(cx->tableId, cx->keyId, cx->clientId,
-                                       cx->rpcSeq, version, net::Status::kOk,
-                                       found);
-                entryBytes += params_.completionRecordBytes;
-                lastRef = rec;
-              }
-              node_.chargeDram(entryBytes,
-                               {power::OpClass::kUpdate, cx->tenant});
-              r.b = version;
-              auto finish = guard([this, cx, w, r, rec, version, found,
-                                   tracked](bool ok) mutable {
-                logLock_.release();
-                if (!ok) {
-                  r.status = net::Status::kError;
-                  if (tracked) {
-                    unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                    log_.markDead(rec);
-                  }
-                } else if (tracked) {
-                  UnackedRpcResults::Result rr;
-                  rr.status = static_cast<std::uint8_t>(net::Status::kOk);
-                  rr.version = version;
-                  rr.found = found;
-                  rr.tableId = cx->tableId;
-                  rr.keyId = cx->keyId;
-                  rr.record = rec;
-                  unacked_.recordCompletion(cx->clientId, cx->rpcSeq, rr);
-                }
-                ++stats_.removes;
-                if (ok && crashBeforeReplyHook_) {
-                  auto hook = std::move(crashBeforeReplyHook_);
-                  crashBeforeReplyHook_ = nullptr;
-                  node_.cpu().releaseWorker(w);
-                  hook();
-                  return;
-                }
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                maybeStartCleaner();
-              });
-              if (entryBytes == 0 || params_.replication.factor <= 0) {
-                finish(true);
-              } else {
-                replicaMgr_.replicateAppend(lastRef.segment, entryBytes,
-                                            std::move(finish));
-              }
-            }));
-      }));
-    }));
-  }));
 }
 
 void MasterService::onScan(const net::RpcRequest& req, Responder respond) {
@@ -1619,35 +1063,36 @@ void MasterService::onMultiOp(const net::RpcRequest& req,
       // as one lock acquisition.
       auto work = guard([this, tableId, valueBytes, isWrite, keys, w, tenant,
                          respond = std::move(respond)]() mutable {
-        net::RpcResponse r;
-        std::uint64_t found = 0;
+        // Every key passes the single-key admission and, for writes, the
+        // tx-lock check; a refused key is not applied and not served.
+        std::uint64_t served = 0;
         std::uint64_t bytes = 0;
-        std::uint64_t wrongTablet = 0;
         for (const std::uint64_t key : *keys) {
-          if (!ownsKey(tableId, key)) {
-            ++wrongTablet;
+          if (admitKey(tableId, key, /*bounceMigrating=*/isWrite, isWrite) !=
+              net::Status::kOk) {
             continue;
           }
-          if (isWrite) {
-            applyWrite(tableId, key, valueBytes);
-            ++found;
-            bytes += valueBytes;
-            ++stats_.writes;
-          } else {
-            if (const auto* loc = map_.get(hash::Key{tableId, key})) {
-              ++found;
+          if (!isWrite) {
+            ++stats_.reads;
+            if (const auto* loc = lookup(tableId, key, tenant)) {
+              ++served;
               bytes += loc->sizeBytes;
             }
-            ++stats_.reads;
+          } else if (txLocks_.get(tableId, key) != nullptr) {
+            txLocks_.countConflict();
+          } else {
+            bytes += applyObject(tableId, key,
+                                 valueBytes + params_.objectOverheadBytes,
+                                 log::EntryType::kObject)
+                         .entryBytes;
+            ++served;
+            ++stats_.writes;
           }
         }
-        (void)wrongTablet;
-        node_.chargeDram(
-            bytes + (isWrite ? found * params_.objectOverheadBytes : 0),
-            {isWrite ? power::OpClass::kUpdate : power::OpClass::kRead,
-             tenant});
-        r.a = found;
-        r.b = static_cast<std::uint64_t>(keys->size()) - found;  // missing
+        if (isWrite) node_.chargeDram(bytes, {power::OpClass::kUpdate, tenant});
+        net::RpcResponse r;
+        r.a = served;
+        r.b = static_cast<std::uint64_t>(keys->size()) - served;
         r.payloadBytes = isWrite ? 0 : bytes;
         auto finish = guard([this, w, isWrite, r,
                              respond = std::move(respond)](bool ok) mutable {
@@ -1662,11 +1107,8 @@ void MasterService::onMultiOp(const net::RpcRequest& req,
           finish(true);
         } else {
           // One batched sync for the whole append run.
-          replicaMgr_.replicateAppend(
-              log_.head()->id(),
-              static_cast<std::uint64_t>(found) *
-                  (valueBytes + params_.objectOverheadBytes),
-              std::move(finish));
+          replicaMgr_.replicateAppend(log_.head()->id(), bytes,
+                                      std::move(finish));
         }
       });
       if (isWrite) {
@@ -1747,14 +1189,8 @@ void MasterService::onMigrationData(const net::RpcRequest& req,
           lastSeg = ref.segment;
           if (e.type == log::EntryType::kCompletion) {
             // Migrated suppression state: install, never index.
-            UnackedRpcResults::Result rr;
-            rr.status = e.opStatus;
-            rr.version = e.version;
-            rr.found = e.found;
-            rr.tableId = e.tableId;
-            rr.keyId = e.keyId;
-            rr.record = ref;
-            if (!unacked_.recover(e.clientId, e.rpcSeq, rr)) {
+            if (!unacked_.recover(e.clientId, e.rpcSeq,
+                                  UnackedRpcResults::resultOf(e, ref))) {
               log_.markDead(ref);
             }
             continue;
@@ -1763,16 +1199,11 @@ void MasterService::onMigrationData(const net::RpcRequest& req,
             // A version lock moves with its tablet: re-install it and its
             // suppression entry so the new owner votes consistently and the
             // orphan sweep here can finish the tx (docs/TRANSACTIONS.md).
-            UnackedRpcResults::Result rr;
-            rr.status = e.opStatus;
-            rr.version = e.version;
-            rr.found = true;
-            rr.tableId = e.tableId;
-            rr.keyId = e.keyId;
-            rr.record = ref;
             const bool owned =
-                e.clientId != 0 && unacked_.recover(e.clientId, e.rpcSeq, rr);
-            if (installRecoveredTxLock(e, ref, owned)) {
+                e.clientId != 0 &&
+                unacked_.recover(e.clientId, e.rpcSeq,
+                                 UnackedRpcResults::resultOf(e, ref));
+            if (installTxLock(e, ref, owned)) {
               txLocks_.countMigrated();
             } else if (!owned) {
               log_.markDead(ref);

@@ -211,13 +211,14 @@ class MasterService : public net::RpcService {
   TxLockTable& txLockTable() { return txLocks_; }
   const TxLockTable& txLockTable() const { return txLocks_; }
 
-  /// Recovery replay / migration install: a kTxPrepare record without a
-  /// matching kTxDecision resurfaced — re-install the version lock so the
-  /// orphan-resolution sweep (or the still-live client) can finish the tx.
-  /// Returns false when the object is already locked by a different tx
-  /// (the caller decides what to do with the spare record).
-  bool installRecoveredTxLock(const log::LogEntry& prepare,
-                              const log::LogRef& ref, bool ownedByUnacked);
+  /// Take the version lock a durable kTxPrepare record stands for: after
+  /// a yes-vote replicates, or when recovery replay / migration install
+  /// resurfaces a prepare without a matching kTxDecision (the orphan sweep
+  /// or the still-live client then finishes the tx). Returns false when the
+  /// object is already locked by a different tx (the caller decides what
+  /// to do with the spare record).
+  bool installTxLock(const log::LogEntry& prepare, const log::LogRef& ref,
+                     bool ownedByUnacked);
 
   /// Mark dead the kCompletion log entries freed by watermark advance,
   /// lease reclamation or migration handoff, so the cleaner reclaims them.
@@ -236,9 +237,13 @@ class MasterService : public net::RpcService {
 
   // ----- observability
 
-  /// Attach the cluster's per-RPC time trace; read/write/remove handlers
-  /// stamp dispatch-wait, worker-service and replication-wait stages
-  /// against spans carried in RpcRequest::traceSpan. nullptr disables.
+  /// Attach the cluster's per-RPC time trace. Reads and read-only tx items
+  /// stamp dispatch-wait and worker-service; mutations (write, remove, tx
+  /// prepare and decision) stamp dispatch-wait, worker-service and
+  /// replication-wait, except that a recorded rejection skips
+  /// worker-service and a tx-lock conflict stops at it. Stamps go against
+  /// the span in RpcRequest::traceSpan (multi-ops carry none). nullptr
+  /// disables.
   void setTimeTrace(obs::TimeTrace* trace) { trace_ = trace; }
 
   /// Attach the cluster's event journal; recovery tasks, migrations,
@@ -299,16 +304,22 @@ class MasterService : public net::RpcService {
     std::uint64_t writes = 0;
     bool registered = false;
   };
-  void noteTabletOp(std::uint64_t tableId, std::uint64_t keyId, bool isWrite);
   void registerTabletHeat(std::uint64_t tableId, std::uint64_t startHash,
                           TabletHeat& heat);
 
+  /// Per-key admission shared by every data op: tablet ownership, the
+  /// migrating-range bounce (when `bounceMigrating`) and the tablet-heat
+  /// note. Returns kOk or the status to refuse the key with.
+  net::Status admitKey(std::uint64_t tableId, std::uint64_t keyId,
+                       bool bounceMigrating, bool isWrite);
+  /// The read path's lookup: charges DRAM for a hit, counts a miss.
+  const hash::ObjectLocation* lookup(std::uint64_t tableId,
+                                     std::uint64_t keyId,
+                                     std::uint16_t tenant);
+  std::uint64_t versionOf(std::uint64_t tableId, std::uint64_t keyId) const;
+
   void onRead(const net::RpcRequest& req, Responder respond);
-  void onWrite(const net::RpcRequest& req, Responder respond);
-  void onTxPrepare(const net::RpcRequest& req, Responder respond);
-  void onTxDecision(const net::RpcRequest& req, Responder respond);
   void onTxVote(const net::RpcRequest& req, Responder respond);
-  void onRemove(const net::RpcRequest& req, Responder respond);
   void onScan(const net::RpcRequest& req, Responder respond);
   void onMultiOp(const net::RpcRequest& req, Responder respond);
   void onStartRecovery(const net::RpcRequest& req, Responder respond);
@@ -317,35 +328,41 @@ class MasterService : public net::RpcService {
   void onMigrationData(const net::RpcRequest& req, node::NodeId from,
                        Responder respond);
 
-  ApplyResult applyWrite(std::uint64_t tableId, std::uint64_t keyId,
-                         std::uint32_t valueBytes);
+  // ----- the one mutation path (docs/LINEARIZABILITY.md): write, remove,
+  // tx prepare and tx decision run mutate → admit → applyMutation → finish.
+  struct MutationOp;
+  struct Mutation;
+  static const MutationOp kWriteOp;
+  static const MutationOp kRemoveOp;
+  static const MutationOp kTxPrepareOp;
+  static const MutationOp kTxDecisionOp;
 
-  /// Conditional-write rejection: record (tracked) and reply
-  /// kVersionMismatch with the current version. Runs under logLock_.
-  void onWriteVersionMismatch(std::uint64_t tableId, std::uint64_t keyId,
-                              std::uint64_t clientId, std::uint64_t seq,
-                              std::uint64_t currentVersion,
-                              std::uint64_t span, std::uint16_t tenant,
-                              sim::SimTime arrival, int w, Responder respond);
+  void mutate(const net::RpcRequest& req, Responder respond,
+              const MutationOp& op);
+  /// Dispatch-thread admission: key admission, then the lease check and the
+  /// RIFL switch. Answers the RPC and returns false, or returns true.
+  bool admit(const std::shared_ptr<Mutation>& m);
+  void validateTxRead(const std::shared_ptr<Mutation>& m);
+  /// Under the worker and logLock_: tx-lock check, the op's verdict, the
+  /// appends, DRAM charge, worker-service stamp and the sync.
+  void applyMutation(const std::shared_ptr<Mutation>& m, int w);
+  void decideWrite(Mutation& m, const TxLockTable::Lock* held);
+  void decideRemove(Mutation& m, const TxLockTable::Lock* held);
+  void decideTxPrepare(Mutation& m, const TxLockTable::Lock* held);
+  void decideTxDecision(Mutation& m, const TxLockTable::Lock* held);
+  /// After the sync: record or roll back, stats, reply, release, clean.
+  void finish(Mutation& m, int w, bool ok);
 
-  /// Append a kCompletion record for a tracked RPC's outcome.
-  log::LogRef appendCompletion(std::uint64_t tableId, std::uint64_t keyId,
-                               std::uint64_t clientId, std::uint64_t seq,
-                               std::uint64_t version, net::Status status,
-                               bool found);
+  /// Append an object, or a tombstone for the key's current object, and
+  /// update the index.
+  ApplyResult applyObject(std::uint64_t tableId, std::uint64_t keyId,
+                          std::uint32_t sizeBytes, log::EntryType type);
   /// Seal the head early if `bytes` would not fit: entries that must be
   /// recovered atomically (object + completion) may not straddle segments.
   void ensureHeadRoom(std::uint32_t bytes);
   /// Lazily start the periodic lease-expiry reclamation sweep.
   void startLeaseReclaim();
 
-  /// Tx prepare vote-no: record the rejection durably (like a conditional
-  /// write's mismatch) so retries replay it. Runs under logLock_.
-  void onTxPrepareReject(std::uint64_t tableId, std::uint64_t keyId,
-                         std::uint64_t clientId, std::uint64_t seq,
-                         net::Status verdict, std::uint64_t currentVersion,
-                         std::uint64_t span, std::uint16_t tenant, int w,
-                         Responder respond);
   /// Lease sweep extension: every lock whose owning client's lease expired
   /// asks the coordinator to run cooperative termination for that tx.
   void sweepOrphanedTx();

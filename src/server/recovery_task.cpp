@@ -1,21 +1,12 @@
 #include "server/recovery_task.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "server/backup_service.hpp"
 #include "server/master_service.hpp"
 
 namespace rc::server {
-
-namespace {
-/// Globally unique side-log segment-id ranges (65536 segments each).
-log::SegmentId nextSideLogBase() {
-  static std::atomic<std::uint32_t> instance{0};
-  return 0x8000'0000u + (instance++ << 16);
-}
-}  // namespace
 
 RecoveryTask::RecoveryTask(MasterService& master, RecoveryPlanPtr plan,
                            int partitionIndex)
@@ -24,7 +15,7 @@ RecoveryTask::RecoveryTask(MasterService& master, RecoveryPlanPtr plan,
       part_(partitionIndex),
       alive_(std::make_shared<bool>(true)) {
   log::LogParams lp = master_.params().log;
-  lp.segmentIdBase = nextSideLogBase();
+  lp.segmentIdBase = master_.directory().nextSideLogBase();
   sideLog_ = std::make_unique<log::Log>(lp);
   sideRepl_ = std::make_unique<ReplicaManager>(
       master_.node().sim(), master_.rpc(), master_.node().id(),
@@ -412,14 +403,8 @@ void RecoveryTask::commit() {
     master_.addTablet(t);
   }
   for (const auto& [e, ref] : recoveredCompletions_) {
-    UnackedRpcResults::Result rr;
-    rr.status = e.opStatus;
-    rr.version = e.version;
-    rr.found = e.found;
-    rr.tableId = e.tableId;
-    rr.keyId = e.keyId;
-    rr.record = ref;
-    if (!master_.unackedRpcResults().recover(e.clientId, e.rpcSeq, rr)) {
+    if (!master_.unackedRpcResults().recover(
+            e.clientId, e.rpcSeq, UnackedRpcResults::resultOf(e, ref))) {
       // Already known (an earlier partition of the same crash carried it,
       // or the client's watermark has passed): drop the duplicate copy.
       master_.log().markDead(ref);
@@ -434,14 +419,8 @@ void RecoveryTask::commit() {
     decided.insert({e.txId, e.tableId, e.keyId});
     bool owned = false;
     if (e.clientId != 0 && e.rpcSeq != 0) {
-      UnackedRpcResults::Result rr;
-      rr.status = e.opStatus;
-      rr.version = e.version;
-      rr.found = true;
-      rr.tableId = e.tableId;
-      rr.keyId = e.keyId;
-      rr.record = ref;
-      owned = master_.unackedRpcResults().recover(e.clientId, e.rpcSeq, rr);
+      owned = master_.unackedRpcResults().recover(
+          e.clientId, e.rpcSeq, UnackedRpcResults::resultOf(e, ref));
     }
     master_.txLockTable().noteResolved(e.txId, e.txCommit, e.clientId,
                                        e.tableId, e.keyId, ref, owned,
@@ -455,16 +434,10 @@ void RecoveryTask::commit() {
     }
     bool owned = false;
     if (e.clientId != 0) {
-      UnackedRpcResults::Result rr;
-      rr.status = e.opStatus;
-      rr.version = e.version;
-      rr.found = true;
-      rr.tableId = e.tableId;
-      rr.keyId = e.keyId;
-      rr.record = ref;
-      owned = master_.unackedRpcResults().recover(e.clientId, e.rpcSeq, rr);
+      owned = master_.unackedRpcResults().recover(
+          e.clientId, e.rpcSeq, UnackedRpcResults::resultOf(e, ref));
     }
-    if (master_.installRecoveredTxLock(e, ref, owned)) {
+    if (master_.installTxLock(e, ref, owned)) {
       master_.txLockTable().countRecovered();
     } else if (!owned) {
       master_.log().markDead(ref);

@@ -28,6 +28,13 @@ class UnackedRpcResults {
     log::LogRef record;            ///< the backing kCompletion entry
   };
 
+  /// The outcome a completion, prepare or decision record at `ref` stands
+  /// for: what the master records after the op and what replay rebuilds.
+  static Result resultOf(const log::LogEntry& record, log::LogRef ref) {
+    return Result{record.opStatus, record.version, record.found,
+                  record.tableId,  record.keyId,   ref};
+  }
+
   enum class Check : std::uint8_t {
     kNew,         ///< never seen: execute and record
     kInProgress,  ///< first attempt still executing: caller should back off

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -22,6 +23,7 @@
 
 #include "core/cluster.hpp"
 #include "fault/fault_injector.hpp"
+#include "obs/metrics_exporter.hpp"
 #include "server/master_service.hpp"
 
 namespace rc {
@@ -758,6 +760,17 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+/// Final value of a counter or gauge in an exported metrics.jsonl, read back
+/// through the exporter's own parser; NaN when the metric is absent.
+double exportedValue(const std::string& metricsPath, const std::string& name) {
+  for (const auto& rec : obs::MetricsExporter::readJsonl(metricsPath)) {
+    if (rec.name == name && (rec.type == "counter" || rec.type == "gauge")) {
+      return rec.value;
+    }
+  }
+  return std::nan("");
+}
+
 // A participant crashes mid-commit *during orphan resolution*: the client
 // fires txCommit and immediately stalls past its lease, so the prepares
 // hold locks on two masters but the decision round never leaves the
@@ -873,8 +886,15 @@ TEST(ChaosTx, ParticipantCrashMidCommitResolvesOrphan) {
   EXPECT_GT(vA, seedA);
   EXPECT_GT(vB, seedB);
 
-  // Exported for CI's orphan-resolution grep gate.
-  EXPECT_TRUE(c.exportMetrics(::testing::TempDir() + "chaos_tx"));
+  // The export must show the resolution: the orphan resolved and committed
+  // by the coordinator, and not one lock left after quiesce.
+  const std::string dir = ::testing::TempDir() + "chaos_tx";
+  ASSERT_TRUE(c.exportMetrics(dir));
+  const std::string metrics = dir + "/metrics.jsonl";
+  EXPECT_GE(exportedValue(metrics, "cluster.tx.orphans_resolved"), 1.0);
+  EXPECT_GE(exportedValue(metrics, "coordinator.tx.resolutions_committed"),
+            1.0);
+  EXPECT_EQ(exportedValue(metrics, "cluster.tx.locks_held"), 0.0);
 }
 
 TEST(Chaos, SameSeedSamePlanIsBitIdentical) {
@@ -889,6 +909,14 @@ TEST(Chaos, SameSeedSamePlanIsBitIdentical) {
   const std::string metricsB = slurp(dirB + "/metrics.jsonl");
   ASSERT_FALSE(metricsA.empty());
   EXPECT_EQ(metricsA, metricsB);
+  // The reply-drop plan exercised exactly-once: duplicates were suppressed
+  // and the stalled client's lease expired.
+  EXPECT_GE(exportedValue(dirA + "/metrics.jsonl",
+                          "cluster.linearize.duplicates_suppressed"),
+            1.0);
+  EXPECT_GE(exportedValue(dirA + "/metrics.jsonl",
+                          "coordinator.linearize.leases_expired"),
+            1.0);
 
   const std::string eventsA = slurp(dirA + "/events.jsonl");
   const std::string eventsB = slurp(dirB + "/events.jsonl");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <unordered_map>
 
 #include "hash/object_map.hpp"
@@ -113,11 +114,14 @@ TEST(ObjectMap, ForEachVisitsAllLiveEntries) {
 }
 
 // ---- Property: random op stream agrees with std::unordered_map oracle.
+// All fields are 64-bit so the struct has no padding: gtest prints the
+// param's raw bytes into the test name, and padding bytes are indeterminate.
 struct PropParam {
   std::uint64_t seed;
-  int ops;
+  std::uint64_t ops;
   std::uint64_t keySpace;
 };
+static_assert(std::has_unique_object_representations_v<PropParam>);
 
 class ObjectMapProperty : public ::testing::TestWithParam<PropParam> {};
 
@@ -132,7 +136,7 @@ TEST_P(ObjectMapProperty, AgreesWithOracle) {
   };
   std::unordered_map<Key, std::uint64_t, H> oracle;
 
-  for (int i = 0; i < ops; ++i) {
+  for (std::uint64_t i = 0; i < ops; ++i) {
     const Key k{1 + rng.uniformInt(3), rng.uniformInt(keySpace)};
     const auto action = rng.uniformInt(10);
     if (action < 6) {  // put

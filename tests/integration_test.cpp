@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
@@ -19,10 +20,13 @@ using sim::seconds;
 
 // ---- Property: every write acknowledged to a client before the crash is
 // readable after recovery, across replication factors and seeds.
+// Both fields are 64-bit so the struct has no padding: gtest prints the
+// param's raw bytes into the test name, and padding bytes are indeterminate.
 struct DurabilityParam {
-  int rf;
+  std::uint64_t rf;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<DurabilityParam>);
 
 class CrashDurability : public ::testing::TestWithParam<DurabilityParam> {};
 
@@ -32,7 +36,7 @@ TEST_P(CrashDurability, AckedWritesSurviveCrash) {
   p.servers = 5;
   p.clients = 2;
   p.seed = seed;
-  p.replicationFactor = rf;
+  p.replicationFactor = static_cast<int>(rf);
   core::Cluster c(p);
   const auto table = c.createTable("t");
   c.bulkLoad(table, 2'000, 1000);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+
 #include "core/cluster.hpp"
 #include "core/recovery_experiment.hpp"
 #include "server/backup_service.hpp"
@@ -237,6 +241,48 @@ TEST(Recovery, HigherRfWritesProportionallyMoreToDisk) {
     written[i++] = total;
   }
   EXPECT_GT(written[1], 2.0 * written[0]);
+}
+
+// Side-log segment ids come from per-cluster state: the same crash-recovery
+// scenario run twice in one process adopts the same segment ids and exports
+// the same metrics bytes.
+TEST(Recovery, SameScenarioTwiceInOneProcessIsIdentical) {
+  struct Run {
+    std::vector<log::SegmentId> segments;
+    std::string metrics;
+  };
+  auto run = [](const std::string& dir) {
+    core::Cluster c(params(4, 1));
+    const auto table = c.createTable("t");
+    c.bulkLoad(table, 3'000, 1000);
+    c.sim().runFor(seconds(1));
+    c.crashServer(0);
+    for (int i = 0; i < 600 && c.coord().recoveryLog().empty(); ++i) {
+      c.sim().runFor(msec(100));
+    }
+    EXPECT_FALSE(c.coord().recoveryLog().empty());
+    Run out;
+    for (int i = 1; i < c.serverCount(); ++i) {
+      for (const auto& [id, seg] : c.server(i).master->log().segments()) {
+        out.segments.push_back(id);
+      }
+    }
+    EXPECT_TRUE(c.exportMetrics(dir));
+    std::ifstream in(dir + "/metrics.jsonl");
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    out.metrics = bytes.str();
+    return out;
+  };
+  const Run a = run(::testing::TempDir() + "sidelog_a");
+  const Run b = run(::testing::TempDir() + "sidelog_b");
+  // The recovery masters adopted side-log segments (ids in the upper half).
+  EXPECT_TRUE(std::any_of(
+      a.segments.begin(), a.segments.end(),
+      [](log::SegmentId id) { return id >= 0x8000'0000u; }));
+  EXPECT_EQ(a.segments, b.segments);
+  ASSERT_FALSE(a.metrics.empty());
+  EXPECT_EQ(a.metrics, b.metrics);
 }
 
 }  // namespace

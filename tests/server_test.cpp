@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
 #include <set>
 
 #include "core/cluster.hpp"
@@ -193,6 +195,131 @@ TEST(MasterService, RemoveDeletesAndWritesTombstone) {
   EXPECT_EQ(r.a, 0u);  // gone
   EXPECT_EQ(c.server(0).master->objectMap().get(hash::Key{table, 9}),
             nullptr);
+}
+
+net::RpcRequest removeReq(std::uint64_t table, std::uint64_t key) {
+  net::RpcRequest r;
+  r.op = net::Opcode::kRemove;
+  r.a = table;
+  r.b = key;
+  return r;
+}
+
+net::RpcRequest multiWriteReq(std::uint64_t table,
+                              std::vector<std::uint64_t> keys) {
+  net::RpcRequest r;
+  r.op = net::Opcode::kMultiWrite;
+  r.a = table;
+  r.b = 100;  // value bytes per key
+  r.c = keys.size();
+  r.keys = std::make_shared<const std::vector<std::uint64_t>>(std::move(keys));
+  return r;
+}
+
+// Removes pass the same per-key admission, counters and stage stamps as
+// writes (docs/LINEARIZABILITY.md, "One mutation path on the master").
+TEST(MasterService, RemoveOfAbsentKeyCountsMissingKey) {
+  core::Cluster c(smallCluster(1, 0));
+  const auto table = c.createTable("t");
+  auto resp = callSync(c, c.serverNodeId(0), removeReq(table, 5000));
+  EXPECT_EQ(resp.status, net::Status::kOk);
+  EXPECT_EQ(resp.a, 0u);  // not found
+  EXPECT_EQ(c.server(0).master->stats().missingKeys, 1u);
+  EXPECT_EQ(c.server(0).master->stats().removes, 1u);
+}
+
+TEST(MasterService, RemoveCountsTabletHeat) {
+  core::Cluster c(smallCluster(1, 0));
+  const auto table = c.createTable("t");
+  const auto tablets = c.coord().tabletMap().tabletsOwnedBy(c.serverNodeId(0));
+  ASSERT_EQ(tablets.size(), 1u);
+  char name[96];
+  std::snprintf(name, sizeof(name),
+                "node%d.master.tablet.heat.t%llu.h%llx.writes",
+                static_cast<int>(c.serverNodeId(0)),
+                static_cast<unsigned long long>(table),
+                static_cast<unsigned long long>(tablets[0].startHash));
+  callSync(c, c.serverNodeId(0), writeReq(table, 9));
+  ASSERT_TRUE(c.metrics().has(name));
+  const double before = c.metrics().value(name);
+  callSync(c, c.serverNodeId(0), removeReq(table, 9));
+  EXPECT_EQ(c.metrics().value(name), before + 1);
+}
+
+TEST(MasterService, RemoveStampsServerStages) {
+  using Stage = obs::TimeTrace::Stage;
+  core::Cluster c(smallCluster(1, 0));
+  const auto table = c.createTable("t");
+  callSync(c, c.serverNodeId(0), writeReq(table, 9));
+  const auto& tt = c.timeTrace();
+  const auto dispatchWait = tt.stageHistogram(Stage::kDispatchWait).count();
+  const auto workerService = tt.stageHistogram(Stage::kWorkerService).count();
+  const auto replicationWait =
+      tt.stageHistogram(Stage::kReplicationWait).count();
+  bool done = false;
+  c.clientHost(0).rc->remove(table, 9, [&done](net::Status s, sim::Duration) {
+    EXPECT_EQ(s, net::Status::kOk);
+    done = true;
+  });
+  while (!done) c.sim().runFor(msec(10));
+  // The server-side time of the remove is split into its stages instead of
+  // being charged to network_reply.
+  EXPECT_EQ(tt.stageHistogram(Stage::kDispatchWait).count(), dispatchWait + 1);
+  EXPECT_EQ(tt.stageHistogram(Stage::kWorkerService).count(),
+            workerService + 1);
+  EXPECT_EQ(tt.stageHistogram(Stage::kReplicationWait).count(),
+            replicationWait + 1);
+}
+
+// Multi-writes pass the single-key admission and tx-lock check per key: a
+// refused key is neither applied nor acknowledged as served.
+TEST(MasterService, MultiWriteUnderHeldTxLockLeavesVersionUnchanged) {
+  core::Cluster c(smallCluster(1, 0));
+  const auto table = c.createTable("t");
+  callSync(c, c.serverNodeId(0), writeReq(table, 3));
+  auto& master = *c.server(0).master;
+  const std::uint64_t before =
+      master.objectMap().get(hash::Key{table, 3})->version;
+  TxLockTable::Lock lock;
+  lock.txId = 77;
+  lock.tableId = table;
+  lock.keyId = 3;
+  lock.expectedVersion = before;
+  ASSERT_TRUE(master.txLockTable().acquire(lock));
+
+  auto r = callSync(c, c.serverNodeId(0), multiWriteReq(table, {3, 4}));
+  EXPECT_EQ(r.status, net::Status::kOk);
+  EXPECT_EQ(r.a, 1u);  // key 4 served
+  EXPECT_EQ(r.b, 1u);  // key 3 refused
+  EXPECT_EQ(master.objectMap().get(hash::Key{table, 3})->version, before);
+}
+
+TEST(MasterService, MultiWriteIntoMigratingRangeIsNotAcknowledged) {
+  core::Cluster c(smallCluster(2, 0));
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, 9'000, 1000);
+  const auto src = c.serverNodeId(0);
+  const auto tablets = c.coord().tabletMap().tabletsOwnedBy(src);
+  ASSERT_EQ(tablets.size(), 1u);
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; keys.size() < 8; ++k) {
+    if (c.ownerOfKey(table, k) == src) keys.push_back(k);
+  }
+  auto& master = *c.server(0).master;
+  bool migrated = false;
+  c.migrateTablet(tablets[0], 1, [&migrated](bool ok) { migrated = ok; });
+  for (int i = 0; i < 100'000 && master.activeMigrations() == 0; ++i) {
+    c.sim().runFor(usec(10));
+  }
+  ASSERT_TRUE(master.isMigratingRange(
+      table, hash::keyHash(hash::Key{table, keys[0]})));
+
+  auto r = callSync(c, src, multiWriteReq(table, keys), seconds(2));
+  EXPECT_EQ(r.status, net::Status::kOk);
+  EXPECT_EQ(r.a, 0u);
+  EXPECT_EQ(r.b, keys.size());
+  for (int i = 0; i < 200 && !migrated; ++i) c.sim().runFor(msec(100));
+  EXPECT_TRUE(migrated);
 }
 
 TEST(MasterService, UnreplicatedWriteSlowerThanRead) {
