@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <fstream>
+
+#include "obs/jsonl.hpp"
 
 namespace rc::core {
 
@@ -453,7 +454,7 @@ bool Cluster::exportMetrics(const std::string& dir) {
 bool Cluster::writeEnergyJsonl(const std::string& path) const {
   std::ofstream os(path);
   if (!os) return false;
-  char line[512];
+  obs::jsonl::LineWriter w(os);
   const sim::SimTime now = sim_.now();
   double clusterJ = 0;
   for (int i = 0; i < serverCount(); ++i) {
@@ -471,26 +472,20 @@ bool Cluster::writeEnergyJsonl(const std::string& path) const {
     const double seconds = sim::toSeconds(now - origin->cpu.time);
     const double pduJ =
         n.pdu() != nullptr ? n.pdu()->totalSampledJoules() : 0.0;
-    std::snprintf(
-        line, sizeof(line),
-        "{\"type\":\"energy_node\",\"node\":%d,\"seconds\":%.9f,"
-        "\"cpu_j\":%.6f,\"dram_j\":%.6f,\"nic_j\":%.6f,\"disk_j\":%.6f,"
-        "\"platform_j\":%.6f,\"total_j\":%.6f,\"pdu_j\":%.6f,"
-        "\"mean_w\":%.6f}\n",
-        nid, seconds, by[0], by[1], by[2], by[3], by[4], total, pduJ,
-        seconds > 0 ? total / seconds : 0.0);
-    os << line;
+    w.begin("energy_node").i64("node", nid).fixed("seconds", seconds, 9)
+        .fixed("cpu_j", by[0], 6).fixed("dram_j", by[1], 6)
+        .fixed("nic_j", by[2], 6).fixed("disk_j", by[3], 6)
+        .fixed("platform_j", by[4], 6).fixed("total_j", total, 6)
+        .fixed("pdu_j", pduJ, 6)
+        .fixed("mean_w", seconds > 0 ? total / seconds : 0.0, 6).end();
     // Attribution cells: cumulative dynamic joules since node construction
     // (the ledger's origin; a superset of the PDU window — docs/ENERGY.md).
     n.energyMeter().forEachCell([&](power::Component c, power::OpClass o,
                                     std::uint16_t slot, double j) {
-      std::snprintf(line, sizeof(line),
-                    "{\"type\":\"energy_cell\",\"node\":%d,"
-                    "\"component\":\"%s\",\"class\":\"%s\",\"tenant\":%u,"
-                    "\"joules\":%.9f}\n",
-                    nid, power::componentName(c), power::opClassName(o),
-                    static_cast<unsigned>(slot), j);
-      os << line;
+      w.begin("energy_cell").i64("node", nid)
+          .str("component", power::componentName(c))
+          .str("class", power::opClassName(o)).u64("tenant", slot)
+          .fixed("joules", j, 9).end();
     });
     // Dynamic energy no charge site claimed (worker spin-before-sleep,
     // polling core, untagged IOs): continuous integral minus ledger sum,
@@ -507,17 +502,18 @@ bool Cluster::writeEnergyJsonl(const std::string& path) const {
     const double diskRem =
         std::max(0.0, diskDyn - n.energyMeter().componentJoules(
                                     power::Component::kDisk));
-    std::snprintf(line, sizeof(line),
-                  "{\"type\":\"energy_remainder\",\"node\":%d,"
-                  "\"component\":\"cpu\",\"joules\":%.9f}\n",
-                  nid, cpuRem);
-    os << line;
-    std::snprintf(line, sizeof(line),
-                  "{\"type\":\"energy_remainder\",\"node\":%d,"
-                  "\"component\":\"disk\",\"joules\":%.9f}\n",
-                  nid, diskRem);
-    os << line;
+    w.begin("energy_remainder").i64("node", nid).str("component", "cpu")
+        .fixed("joules", cpuRem, 9).end();
+    w.begin("energy_remainder").i64("node", nid).str("component", "disk")
+        .fixed("joules", diskRem, 9).end();
   }
+  // The ops, joules-per-op and ops-per-joule columns that close the
+  // per-tenant and cluster rollup rows.
+  auto endPerOp = [&w](double j, std::uint64_t ops) {
+    const double n = static_cast<double>(ops);
+    w.u64("ops", ops).fixed("j_per_op", ops > 0 && j > 0 ? j / n : 0.0, 9)
+        .fixed("ops_per_j", j > 0 ? n / j : 0.0, 4).end();
+  };
   // Per-tenant rollup: one row per declared SLO class (tenant slot id+1),
   // summed over the server ledgers — the joules/op table behind
   // `rcdiag energy` and the paper's SS VII efficiency framing.
@@ -529,30 +525,13 @@ bool Cluster::writeEnergyJsonl(const std::string& path) const {
                .node->energyMeter()
                .tenantJoules(slot);
     }
-    const std::uint64_t ops = slo_.classRecorded(id);
-    std::snprintf(
-        line, sizeof(line),
-        "{\"type\":\"energy_tenant\",\"class\":\"%s\",\"tenant\":%u,"
-        "\"joules\":%.6f,\"ops\":%llu,\"j_per_op\":%.9f,"
-        "\"ops_per_j\":%.4f}\n",
-        slo_.className(id).c_str(), static_cast<unsigned>(slot), j,
-        static_cast<unsigned long long>(ops),
-        ops > 0 && j > 0 ? j / static_cast<double>(ops) : 0.0,
-        j > 0 ? static_cast<double>(ops) / j : 0.0);
-    os << line;
+    w.begin("energy_tenant").str("class", slo_.className(id))
+        .u64("tenant", slot).fixed("joules", j, 6);
+    endPerOp(j, slo_.classRecorded(id));
   }
-  const std::uint64_t ops = totalOpsCompleted();
-  std::snprintf(line, sizeof(line),
-                "{\"type\":\"energy_cluster\",\"servers\":%d,"
-                "\"total_j\":%.6f,\"ops\":%llu,\"j_per_op\":%.9f,"
-                "\"ops_per_j\":%.4f}\n",
-                serverCount(), clusterJ,
-                static_cast<unsigned long long>(ops),
-                ops > 0 && clusterJ > 0
-                    ? clusterJ / static_cast<double>(ops)
-                    : 0.0,
-                clusterJ > 0 ? static_cast<double>(ops) / clusterJ : 0.0);
-  os << line;
+  w.begin("energy_cluster").i64("servers", serverCount())
+      .fixed("total_j", clusterJ, 6);
+  endPerOp(clusterJ, totalOpsCompleted());
   return static_cast<bool>(os);
 }
 

@@ -1,52 +1,11 @@
 #include "obs/event_journal.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
+#include "obs/jsonl.hpp"
+
 namespace rc::obs {
-
-namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-bool findString(const std::string& line, const std::string& key,
-                std::string* out) {
-  const std::string pat = "\"" + key + "\":\"";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  std::string r;
-  for (std::size_t i = at + pat.size(); i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      r.push_back(line[++i]);
-    } else if (line[i] == '"') {
-      *out = r;
-      return true;
-    } else {
-      r.push_back(line[i]);
-    }
-  }
-  return false;
-}
-
-bool findNumber(const std::string& line, const std::string& key, double* out) {
-  const std::string pat = "\"" + key + "\":";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(line.c_str() + at + pat.size(), nullptr);
-  return true;
-}
-
-}  // namespace
 
 EventJournal::SpanId EventJournal::beginSpan(const std::string& name, int node,
                                              SpanId parent, std::uint64_t ctx) {
@@ -175,60 +134,41 @@ void EventJournal::registerMetrics(MetricRegistry& reg,
 bool EventJournal::writeJsonl(const std::string& path) const {
   std::ofstream os(path);
   if (!os) return false;
-  char t0[32];
-  char t1[32];
-  char joules[32];
-  char comp[4][32];
+  jsonl::LineWriter w(os);
   for (const Span& s : spans_) {
     // Nanosecond-resolution seconds keep interval queries exact on re-read.
-    std::snprintf(t0, sizeof t0, "%.9f", sim::toSeconds(s.begin));
-    std::snprintf(t1, sizeof t1, "%.9f",
-                  sim::toSeconds(s.open ? s.begin : s.end));
-    std::snprintf(joules, sizeof joules, "%.6f", s.joules);
-    std::snprintf(comp[0], sizeof comp[0], "%.6f", s.cpuJ);
-    std::snprintf(comp[1], sizeof comp[1], "%.6f", s.dramJ);
-    std::snprintf(comp[2], sizeof comp[2], "%.6f", s.nicJ);
-    std::snprintf(comp[3], sizeof comp[3], "%.6f", s.diskJ);
-    os << "{\"type\":\"span\",\"id\":" << s.id << ",\"parent\":" << s.parent
-       << ",\"name\":\"" << escape(s.name) << "\",\"node\":" << s.node
-       << ",\"ctx\":" << s.ctx << ",\"t0\":" << t0 << ",\"t1\":" << t1
-       << ",\"open\":" << (s.open ? 1 : 0)
-       << ",\"abandoned\":" << (s.abandoned ? 1 : 0) << ",\"joules\":" << joules
-       << ",\"cpu_j\":" << comp[0] << ",\"dram_j\":" << comp[1]
-       << ",\"nic_j\":" << comp[2] << ",\"disk_j\":" << comp[3]
-       << ",\"bytes\":" << s.bytes << ",\"count\":" << s.count << "}\n";
+    w.begin("span").u64("id", s.id).u64("parent", s.parent)
+        .str("name", s.name).i64("node", s.node).u64("ctx", s.ctx)
+        .fixed("t0", sim::toSeconds(s.begin), 9)
+        .fixed("t1", sim::toSeconds(s.open ? s.begin : s.end), 9)
+        .i64("open", s.open ? 1 : 0).i64("abandoned", s.abandoned ? 1 : 0)
+        .fixed("joules", s.joules, 6).fixed("cpu_j", s.cpuJ, 6)
+        .fixed("dram_j", s.dramJ, 6).fixed("nic_j", s.nicJ, 6)
+        .fixed("disk_j", s.diskJ, 6).u64("bytes", s.bytes)
+        .u64("count", s.count).end();
   }
   return static_cast<bool>(os);
 }
 
 std::vector<EventJournal::Span> EventJournal::readJsonl(
-    const std::string& path) {
+    const std::string& path, std::size_t* malformed) {
   std::vector<Span> out;
-  std::ifstream is(path);
-  for (std::string line; std::getline(is, line);) {
-    if (line.empty()) continue;
-    std::string type;
-    if (!findString(line, "type", &type) || type != "span") continue;
-    Span s;
-    double n = 0;
-    if (findNumber(line, "id", &n)) s.id = static_cast<SpanId>(n);
-    if (findNumber(line, "parent", &n)) s.parent = static_cast<SpanId>(n);
-    findString(line, "name", &s.name);
-    if (findNumber(line, "node", &n)) s.node = static_cast<int>(n);
-    if (findNumber(line, "ctx", &n)) s.ctx = static_cast<std::uint64_t>(n);
-    if (findNumber(line, "t0", &n)) s.begin = sim::secondsF(n);
-    if (findNumber(line, "t1", &n)) s.end = sim::secondsF(n);
-    if (findNumber(line, "open", &n)) s.open = n != 0;
-    if (findNumber(line, "abandoned", &n)) s.abandoned = n != 0;
-    findNumber(line, "joules", &s.joules);
-    findNumber(line, "cpu_j", &s.cpuJ);
-    findNumber(line, "dram_j", &s.dramJ);
-    findNumber(line, "nic_j", &s.nicJ);
-    findNumber(line, "disk_j", &s.diskJ);
-    if (findNumber(line, "bytes", &n)) s.bytes = static_cast<std::uint64_t>(n);
-    if (findNumber(line, "count", &n)) s.count = static_cast<std::uint64_t>(n);
-    out.push_back(std::move(s));
-  }
+  const auto bad = jsonl::readFile(path, [&](const jsonl::Record& r) {
+    if (r.type() != "span") return;
+    out.push_back({.id = r.num<SpanId>("id"), .parent = r.num<SpanId>("parent"),
+                   .name = r.str("name"), .node = r.num("node", -1),
+                   .ctx = r.num<std::uint64_t>("ctx"),
+                   .begin = sim::secondsF(r.num("t0")),
+                   .end = sim::secondsF(r.num("t1")),
+                   .open = r.num("open", true),
+                   .abandoned = r.num("abandoned", false),
+                   .joules = r.num("joules"), .cpuJ = r.num("cpu_j"),
+                   .dramJ = r.num("dram_j"), .nicJ = r.num("nic_j"),
+                   .diskJ = r.num("disk_j"),
+                   .bytes = r.num<std::uint64_t>("bytes"),
+                   .count = r.num<std::uint64_t>("count")});
+  });
+  if (malformed != nullptr) *malformed = bad.value_or(0);
   return out;
 }
 

@@ -131,8 +131,11 @@ class EventJournal {
 
   // ----- persistence (events.jsonl; schema in docs/TRACING.md)
 
+  /// Written and read through the shared codec (obs/jsonl.hpp); the reader
+  /// skips malformed lines and, if asked, counts them.
   bool writeJsonl(const std::string& path) const;
-  static std::vector<Span> readJsonl(const std::string& path);
+  static std::vector<Span> readJsonl(const std::string& path,
+                                     std::size_t* malformed = nullptr);
 
  private:
   void close(SpanId id, bool abandoned);

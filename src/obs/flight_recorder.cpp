@@ -1,10 +1,10 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "obs/jsonl.hpp"
 #include "obs/time_trace.hpp"
 
 namespace rc::obs {
@@ -28,25 +28,19 @@ std::vector<FlightRecorder::Entry> FlightRecorder::entries() const {
 
 std::string FlightRecorder::toJsonl() const {
   std::ostringstream os;
-  char line[320];
+  jsonl::LineWriter w(os);
   for (const Trigger& t : triggers_) {
-    std::snprintf(line, sizeof(line),
-                  "{\"type\":\"flight_trigger\",\"t_us\":%.3f,"
-                  "\"reason\":\"%s\"}\n",
-                  sim::toMicros(t.at), t.reason.c_str());
-    os << line;
+    w.begin("flight_trigger").fixed("t_us", sim::toMicros(t.at), 3)
+        .str("reason", t.reason).end();
   }
   for (const Entry& e : entries()) {
-    std::snprintf(
-        line, sizeof(line),
-        "{\"type\":\"flight\",\"t_us\":%.3f,\"span\":%llu,"
-        "\"stage\":\"%s\",\"node\":%d,\"depth\":%d,\"tenant\":%u,"
-        "\"us\":%.3f,\"abandoned\":%d}\n",
-        sim::toMicros(e.at), static_cast<unsigned long long>(e.span),
-        TimeTrace::stageName(static_cast<TimeTrace::Stage>(e.stage)), e.node,
-        e.queueDepth, static_cast<unsigned>(e.tenant),
-        sim::toMicros(e.elapsed), e.abandoned ? 1 : 0);
-    os << line;
+    w.begin("flight").fixed("t_us", sim::toMicros(e.at), 3)
+        .u64("span", e.span)
+        .str("stage",
+             TimeTrace::stageName(static_cast<TimeTrace::Stage>(e.stage)))
+        .i64("node", e.node).i64("depth", e.queueDepth)
+        .u64("tenant", e.tenant).fixed("us", sim::toMicros(e.elapsed), 3)
+        .i64("abandoned", e.abandoned ? 1 : 0).end();
   }
   return os.str();
 }

@@ -1,70 +1,20 @@
 #include "obs/metrics_exporter.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+
+#include "obs/jsonl.hpp"
 
 namespace rc::obs {
 
 namespace {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-void writeHistogramLine(std::ostream& os, const std::string& name,
-                        const std::string& unit, const sim::Histogram& h) {
-  const HistogramSummary s = summarizeHistogram(h);
-  os << "{\"type\":\"histogram\",\"name\":\"" << jsonEscape(name)
-     << "\",\"unit\":\"" << jsonEscape(unit) << "\",\"count\":" << s.count
-     << ",\"mean\":" << s.meanUs << ",\"p50\":" << s.p50Us
-     << ",\"p90\":" << s.p90Us << ",\"p99\":" << s.p99Us
-     << ",\"max\":" << s.maxUs << "}\n";
-}
-
-void writeSeriesLines(std::ostream& os, const std::string& name,
+void writeSeriesLines(jsonl::LineWriter& w, const std::string& name,
                       const sim::TimeSeries& ts) {
   for (const auto& p : ts.points()) {
-    os << "{\"type\":\"point\",\"name\":\"" << jsonEscape(name)
-       << "\",\"t\":" << sim::toSeconds(p.time) << ",\"value\":" << p.value
-       << "}\n";
+    w.begin("point").str("name", name).num("t", sim::toSeconds(p.time))
+        .num("value", p.value).end();
   }
-}
-
-/// Minimal field extraction for the exporter's own (flat, one-line) output.
-bool findString(const std::string& line, const std::string& key,
-                std::string* out) {
-  const std::string pat = "\"" + key + "\":\"";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  std::string r;
-  for (std::size_t i = at + pat.size(); i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      r.push_back(line[++i]);
-    } else if (line[i] == '"') {
-      *out = r;
-      return true;
-    } else {
-      r.push_back(line[i]);
-    }
-  }
-  return false;
-}
-
-bool findNumber(const std::string& line, const std::string& key,
-                double* out) {
-  const std::string pat = "\"" + key + "\":";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(line.c_str() + at + pat.size(), nullptr);
-  return true;
 }
 
 }  // namespace
@@ -77,31 +27,32 @@ void MetricsExporter::addSeries(const std::string& name,
 bool MetricsExporter::writeJsonl(const std::string& path) const {
   std::ofstream os(path);
   if (!os) return false;
+  jsonl::LineWriter w(os);
   registry_.forEach([&](const MetricInfo& info) {
-    if (info.kind == MetricKind::kHistogram) {
-      const sim::Histogram* h = registry_.histogramAt(info.name);
-      static const sim::Histogram kEmpty;
-      writeHistogramLine(os, info.name, info.unit, h != nullptr ? *h : kEmpty);
+    w.begin(kindName(info.kind)).str("name", info.name).str("unit", info.unit);
+    if (info.kind != MetricKind::kHistogram) {
+      w.num("value", registry_.value(info.name)).end();
       return;
     }
-    os << "{\"type\":\"" << kindName(info.kind) << "\",\"name\":\""
-       << jsonEscape(info.name) << "\",\"unit\":\"" << jsonEscape(info.unit)
-       << "\",\"value\":" << registry_.value(info.name) << "}\n";
+    const sim::Histogram* h = registry_.histogramAt(info.name);
+    static const sim::Histogram kEmpty;
+    const HistogramSummary s = summarizeHistogram(h != nullptr ? *h : kEmpty);
+    w.u64("count", s.count).num("mean", s.meanUs).num("p50", s.p50Us)
+        .num("p90", s.p90Us).num("p99", s.p99Us).num("max", s.maxUs).end();
   });
   if (sampler_ != nullptr) {
     for (const auto& [name, ts] : sampler_->series()) {
-      writeSeriesLines(os, name, ts);
+      writeSeriesLines(w, name, ts);
     }
   }
   for (const auto& [name, ts] : extraSeries_) {
-    writeSeriesLines(os, name, *ts);
+    writeSeriesLines(w, name, *ts);
   }
   if (trace_ != nullptr) {
     for (const auto& ev : trace_->recentEvents()) {
-      os << "{\"type\":\"trace\",\"t\":" << sim::toSeconds(ev.at)
-         << ",\"span\":" << ev.span << ",\"name\":\""
-         << TimeTrace::stageName(ev.stage)
-         << "\",\"value\":" << sim::toMicros(ev.elapsed) << "}\n";
+      w.begin("trace").num("t", sim::toSeconds(ev.at)).u64("span", ev.span)
+          .str("name", TimeTrace::stageName(ev.stage))
+          .num("value", sim::toMicros(ev.elapsed)).end();
     }
   }
   return static_cast<bool>(os);
@@ -146,28 +97,17 @@ bool MetricsExporter::exportRunDir(const std::string& dir) const {
 }
 
 std::vector<MetricsExporter::Record> MetricsExporter::readJsonl(
-    const std::string& path) {
+    const std::string& path, std::size_t* malformed) {
   std::vector<Record> out;
-  std::ifstream is(path);
-  for (std::string line; std::getline(is, line);) {
-    if (line.empty()) continue;
-    Record r;
-    if (!findString(line, "type", &r.type)) continue;
-    findString(line, "name", &r.name);
-    findString(line, "unit", &r.unit);
-    findNumber(line, "value", &r.value);
-    findNumber(line, "t", &r.t);
-    double n = 0;
-    if (findNumber(line, "count", &n)) {
-      r.count = static_cast<std::uint64_t>(n);
-    }
-    findNumber(line, "mean", &r.mean);
-    findNumber(line, "p50", &r.p50);
-    findNumber(line, "p90", &r.p90);
-    findNumber(line, "p99", &r.p99);
-    findNumber(line, "max", &r.max);
-    out.push_back(std::move(r));
-  }
+  const auto bad = jsonl::readFile(path, [&](const jsonl::Record& l) {
+    out.push_back({.type = l.type(), .name = l.str("name"),
+                   .unit = l.str("unit"), .value = l.num("value"),
+                   .t = l.num("t"), .count = l.num<std::uint64_t>("count"),
+                   .mean = l.num("mean"), .p50 = l.num("p50"),
+                   .p90 = l.num("p90"), .p99 = l.num("p99"),
+                   .max = l.num("max")});
+  });
+  if (malformed != nullptr) *malformed = bad.value_or(0);
   return out;
 }
 

@@ -20,8 +20,8 @@ namespace rc::obs {
 ///   <dir>/series.csv — wide CSV of the sampler's aligned 1 Hz series:
 ///     time_s, then one column per series, one row per tick.
 ///
-/// readJsonl() parses the exporter's own output back (round-trip tested),
-/// so plotting scripts and tests share one format.
+/// Both directions go through the shared codec (obs/jsonl.hpp), so
+/// readJsonl() parses this output back exactly (round-trip tested).
 class MetricsExporter {
  public:
   explicit MetricsExporter(const MetricRegistry& registry)
@@ -42,6 +42,7 @@ class MetricsExporter {
 
   /// One parsed line of metrics.jsonl. `type` is "counter", "gauge",
   /// "histogram", "point" or "trace"; unused fields stay zero/empty.
+  /// readJsonl() skips malformed lines and, if asked, counts them.
   struct Record {
     std::string type;
     std::string name;
@@ -51,7 +52,8 @@ class MetricsExporter {
     std::uint64_t count = 0;
     double mean = 0, p50 = 0, p90 = 0, p99 = 0, max = 0;  ///< us (histograms)
   };
-  static std::vector<Record> readJsonl(const std::string& path);
+  static std::vector<Record> readJsonl(const std::string& path,
+                                       std::size_t* malformed = nullptr);
 
  private:
   const MetricRegistry& registry_;

@@ -1,9 +1,10 @@
 #include "obs/slo_tracker.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "obs/jsonl.hpp"
 
 namespace rc::obs {
 
@@ -193,59 +194,41 @@ std::string SloTracker::toJsonl() const {
                                             : a->cls < b->cls;
             });
   std::ostringstream os;
-  char line[512];
+  jsonl::LineWriter w(os);
   const double wUs = sim::toMicros(window_);
   for (const WindowRow* r : sorted) {
-    std::snprintf(
-        line, sizeof(line),
-        "{\"type\":\"slo_window\",\"window\":%llu,\"t0_us\":%.3f,"
-        "\"t1_us\":%.3f,\"class\":\"%s\",\"count\":%llu,\"p50_us\":%.3f,"
-        "\"p99_us\":%.3f,\"p999_us\":%.3f,\"target_p99_us\":%.3f,"
-        "\"target_p999_us\":%.3f,\"over_p99\":%llu,\"over_p999\":%llu,"
-        "\"burn_rate\":%.4f,\"breached\":%d,\"joules\":%.6f,"
-        "\"j_per_op\":%.9f,\"ops_per_j\":%.4f}\n",
-        static_cast<unsigned long long>(r->window),
-        static_cast<double>(r->window) * wUs,
-        static_cast<double>(r->window + 1) * wUs, r->cls.c_str(),
-        static_cast<unsigned long long>(r->count), sim::toMicros(r->p50),
-        sim::toMicros(r->p99), sim::toMicros(r->p999),
-        sim::toMicros(r->target.p99), sim::toMicros(r->target.p999),
-        static_cast<unsigned long long>(r->overP99),
-        static_cast<unsigned long long>(r->overP999), r->burnRate,
-        r->breached ? 1 : 0, r->joules, r->joulesPerOp, r->opsPerJoule);
-    os << line;
+    w.begin("slo_window").u64("window", r->window)
+        .fixed("t0_us", static_cast<double>(r->window) * wUs, 3)
+        .fixed("t1_us", static_cast<double>(r->window + 1) * wUs, 3)
+        .str("class", r->cls).u64("count", r->count)
+        .fixed("p50_us", sim::toMicros(r->p50), 3)
+        .fixed("p99_us", sim::toMicros(r->p99), 3)
+        .fixed("p999_us", sim::toMicros(r->p999), 3)
+        .fixed("target_p99_us", sim::toMicros(r->target.p99), 3)
+        .fixed("target_p999_us", sim::toMicros(r->target.p999), 3)
+        .u64("over_p99", r->overP99).u64("over_p999", r->overP999)
+        .fixed("burn_rate", r->burnRate, 4).i64("breached", r->breached ? 1 : 0)
+        .fixed("joules", r->joules, 6).fixed("j_per_op", r->joulesPerOp, 9)
+        .fixed("ops_per_j", r->opsPerJoule, 4).end();
     for (const NodeQuantiles& nq : r->perNode) {
-      std::snprintf(line, sizeof(line),
-                    "{\"type\":\"slo_node\",\"window\":%llu,\"class\":\"%s\","
-                    "\"node\":%d,\"count\":%llu,\"p50_us\":%.3f,"
-                    "\"p99_us\":%.3f,\"p999_us\":%.3f}\n",
-                    static_cast<unsigned long long>(r->window), r->cls.c_str(),
-                    nq.node, static_cast<unsigned long long>(nq.count),
-                    sim::toMicros(nq.p50), sim::toMicros(nq.p99),
-                    sim::toMicros(nq.p999));
-      os << line;
+      w.begin("slo_node").u64("window", r->window).str("class", r->cls)
+          .i64("node", nq.node).u64("count", nq.count)
+          .fixed("p50_us", sim::toMicros(nq.p50), 3)
+          .fixed("p99_us", sim::toMicros(nq.p99), 3)
+          .fixed("p999_us", sim::toMicros(nq.p999), 3).end();
     }
     for (std::size_t rank = 0; rank < r->exemplars.size(); ++rank) {
       const Exemplar& e = r->exemplars[rank];
-      std::snprintf(line, sizeof(line),
-                    "{\"type\":\"exemplar\",\"window\":%llu,\"class\":\"%s\","
-                    "\"rank\":%zu,\"span\":%llu,\"node\":%d,\"us\":%.3f}\n",
-                    static_cast<unsigned long long>(r->window), r->cls.c_str(),
-                    rank, static_cast<unsigned long long>(e.span), e.node,
-                    sim::toMicros(e.latency));
-      os << line;
+      w.begin("exemplar").u64("window", r->window).str("class", r->cls)
+          .u64("rank", rank).u64("span", e.span).i64("node", e.node)
+          .fixed("us", sim::toMicros(e.latency), 3).end();
       for (std::uint8_t i = 0; i < e.detail.numStages; ++i) {
         const TimeTrace::StageRec& s = e.detail.stages[i];
-        std::snprintf(
-            line, sizeof(line),
-            "{\"type\":\"exemplar_stage\",\"window\":%llu,"
-            "\"class\":\"%s\",\"span\":%llu,\"seq\":%u,\"stage\":\"%s\","
-            "\"us\":%.3f,\"depth\":%d,\"node\":%d}\n",
-            static_cast<unsigned long long>(r->window), r->cls.c_str(),
-            static_cast<unsigned long long>(e.span), static_cast<unsigned>(i),
-            TimeTrace::stageName(s.stage), sim::toMicros(s.elapsed),
-            s.queueDepth, s.node);
-        os << line;
+        w.begin("exemplar_stage").u64("window", r->window)
+            .str("class", r->cls).u64("span", e.span).u64("seq", i)
+            .str("stage", TimeTrace::stageName(s.stage))
+            .fixed("us", sim::toMicros(s.elapsed), 3)
+            .i64("depth", s.queueDepth).i64("node", s.node).end();
       }
     }
   }

@@ -117,6 +117,24 @@ struct ChaosResult {
   double txResolutionsStarted = -1;
 };
 
+/// A checker's self-rescheduling step. The step closure reaches itself
+/// through `again`, so the loop is a reference cycle; halt() empties the
+/// closure to break it (events already scheduled then find nothing to run).
+struct StepLoop {
+  std::shared_ptr<std::function<void()>> step =
+      std::make_shared<std::function<void()>>();
+
+  /// Runs the step again after `d`.
+  std::function<void(sim::Duration)> again(core::Cluster& c) const {
+    return [&c, step = step](sim::Duration d) {
+      c.sim().schedule(d, [step] {
+        if (*step) (*step)();
+      });
+    };
+  }
+  void halt() const { *step = nullptr; }
+};
+
 /// Per-client exactly-once probe on a private key nobody else writes: a
 /// chain of conditional writes, each expecting the last version this client
 /// itself produced, each followed by a read-your-write verification. If a
@@ -133,6 +151,12 @@ struct RywChecker {
     std::uint64_t mismatches = 0;
     bool violation = false;
     bool stop = false;
+    StepLoop loop;
+
+    void halt() {
+      stop = true;
+      loop.halt();
+    }
   };
 
   /// `readBack` false runs a write-only chain (duplicate application still
@@ -143,10 +167,8 @@ struct RywChecker {
                                       bool readBack = true) {
     auto st = std::make_shared<State>();
     auto& rc = *c.clientHost(clientIdx).rc;
-    auto step = std::make_shared<std::function<void()>>();
-    auto again = [&c, step](sim::Duration d) {
-      c.sim().schedule(d, [step] { (*step)(); });
-    };
+    const auto step = st->loop.step;
+    const auto again = st->loop.again(c);
     auto resync = [&c, &rc, table, key, st, again] {
       rc.readV(table, key,
                [st, again](net::Status s, std::uint64_t v, sim::Duration) {
@@ -216,6 +238,8 @@ struct TxPairChecker {
     bool tornRead = false;
     bool writerInFlight = false;
     bool stop = false;
+    StepLoop writer;
+    StepLoop reader;
     std::map<std::uint64_t, std::uint64_t> aToB;
     std::map<std::uint64_t, std::uint64_t> bToA;
 
@@ -227,6 +251,12 @@ struct TxPairChecker {
       if (!a.second && a.first->second != vB) tornRead = true;
       const auto b = bToA.emplace(vB, vA);
       if (!b.second && b.first->second != vA) tornRead = true;
+    }
+
+    void halt() {
+      stop = true;
+      writer.halt();
+      reader.halt();
     }
   };
 
@@ -243,10 +273,8 @@ struct TxPairChecker {
   static void startWriter(core::Cluster& c, client::RamCloudClient& rc,
                           std::uint64_t table, std::uint64_t keyA,
                           std::uint64_t keyB, std::shared_ptr<State> st) {
-    auto step = std::make_shared<std::function<void()>>();
-    auto again = [&c, step](sim::Duration d) {
-      c.sim().schedule(d, [step] { (*step)(); });
-    };
+    const auto step = st->writer.step;
+    const auto again = st->writer.again(c);
     *step = [&rc, table, keyA, keyB, st, again] {
       if (st->stop) return;
       st->writerInFlight = true;
@@ -301,10 +329,8 @@ struct TxPairChecker {
   static void startReader(core::Cluster& c, client::RamCloudClient& rc,
                           std::uint64_t table, std::uint64_t keyA,
                           std::uint64_t keyB, std::shared_ptr<State> st) {
-    auto step = std::make_shared<std::function<void()>>();
-    auto again = [&c, step](sim::Duration d) {
-      c.sim().schedule(d, [step] { (*step)(); });
-    };
+    const auto step = st->reader.step;
+    const auto again = st->reader.again(c);
     *step = [&rc, table, keyA, keyB, st, again] {
       if (st->stop) return;
       const std::uint64_t tx = rc.txBegin();
@@ -467,9 +493,9 @@ ChaosResult runChaos(std::uint64_t seed, const std::string& exportDir = "") {
           rfDeficit() > 0 || !mapHealthy())) {
     c.sim().runFor(msec(100));
   }
-  probe->stop = true;
-  for (auto& st : ryw) st->stop = true;
-  pair->stop = true;
+  probe->halt();
+  for (auto& st : ryw) st->halt();
+  pair->halt();
   c.sim().runFor(seconds(2));  // let trailing RPCs and spans settle
 
   // Drain the pair writer's in-flight commit (if any) so the straggler

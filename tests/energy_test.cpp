@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "core/cluster.hpp"
+#include "obs/jsonl.hpp"
 #include "power/energy_ledger.hpp"
 #include "ycsb/workload.hpp"
 #include "ycsb/ycsb_client.hpp"
@@ -24,15 +28,6 @@ std::string slurp(const std::string& path) {
   std::stringstream ss;
   ss << is.rdbuf();
   return ss.str();
-}
-
-/// First numeric value following `"key": ` in a JSONL line; NaN-free
-/// because every writer emits plain %f/%d fields.
-double field(const std::string& line, const std::string& key) {
-  const std::string pat = "\"" + key + "\":";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return -1;
-  return std::strtod(line.c_str() + at + pat.size(), nullptr);
 }
 
 double classJoules(const power::EnergyMeter& m, power::OpClass cls,
@@ -48,7 +43,8 @@ double classJoules(const power::EnergyMeter& m, power::OpClass cls,
 /// Canonical small run: 4 servers rf=2, tenant-tagged YCSB-A (so reads,
 /// updates and replication all charge), PDUs live, full export.
 std::unique_ptr<core::Cluster> runWorkload(std::uint64_t seed,
-                                           bool metering = true) {
+                                           bool metering = true,
+                                           const std::string& tenant = "acme") {
   core::ClusterParams p;
   p.servers = 4;
   p.clients = 2;
@@ -56,13 +52,15 @@ std::unique_ptr<core::Cluster> runWorkload(std::uint64_t seed,
   p.seed = seed;
   auto c = std::make_unique<core::Cluster>(p);
   if (!metering) c->setEnergyMetering(false);
-  c->sloTracker().declareClass("acme/read", obs::SloTarget{sim::msec(5), 0});
-  c->sloTracker().declareClass("acme/update", obs::SloTarget{sim::msec(5), 0});
+  c->sloTracker().declareClass(tenant + "/read",
+                               obs::SloTarget{sim::msec(5), 0});
+  c->sloTracker().declareClass(tenant + "/update",
+                               obs::SloTarget{sim::msec(5), 0});
   const auto table = c->createTable("usertable");
   c->bulkLoad(table, 5'000, 128);
   c->startPduSampling();
   ycsb::YcsbClientParams ycp;
-  ycp.tenant = "acme";
+  ycp.tenant = tenant;
   c->configureYcsb(table, ycsb::WorkloadSpec::A(5'000), ycp);
   c->startYcsb();
   c->sim().runFor(sim::seconds(2));
@@ -121,31 +119,56 @@ TEST(EnergyE2E, ExportedNodeRowsReconcileWithPduWithinTenthOfPercent) {
   std::filesystem::remove_all(dir);
   auto c = runWorkload(42);
   ASSERT_TRUE(c->exportMetrics(dir));
-  std::ifstream is(dir + "/energy.jsonl");
-  ASSERT_TRUE(is);
-  std::string line;
   int nodeRows = 0;
   bool sawCluster = false;
-  while (std::getline(is, line)) {
-    if (line.find("\"energy_node\"") != std::string::npos) {
-      ++nodeRows;
-      const double total = field(line, "total_j");
-      const double pdu = field(line, "pdu_j");
-      ASSERT_GT(pdu, 0) << line;
-      EXPECT_LE(std::abs(total - pdu) / pdu, 0.001) << line;
-    }
-    if (line.find("\"energy_remainder\"") != std::string::npos) {
-      EXPECT_GE(field(line, "joules"), 0) << line;
-    }
-    if (line.find("\"energy_cluster\"") != std::string::npos) {
-      sawCluster = true;
-      EXPECT_GT(field(line, "total_j"), 0);
-      EXPECT_GT(field(line, "ops"), 0);
-      EXPECT_GT(field(line, "ops_per_j"), 0);
-    }
-  }
+  const auto malformed = obs::jsonl::readFile(
+      dir + "/energy.jsonl", [&](const obs::jsonl::Record& r) {
+        if (r.type() == "energy_node") {
+          ++nodeRows;
+          const double total = r.num("total_j");
+          const double pdu = r.num("pdu_j");
+          ASSERT_GT(pdu, 0) << "node " << r.num("node");
+          EXPECT_LE(std::abs(total - pdu) / pdu, 0.001)
+              << "node " << r.num("node");
+        }
+        if (r.type() == "energy_remainder") {
+          EXPECT_GE(r.num("joules", -1.0), 0) << "node " << r.num("node");
+        }
+        if (r.type() == "energy_cluster") {
+          sawCluster = true;
+          EXPECT_GT(r.num("total_j"), 0);
+          EXPECT_GT(r.num("ops"), 0);
+          EXPECT_GT(r.num("ops_per_j"), 0);
+        }
+      });
+  EXPECT_EQ(malformed, std::optional<std::size_t>(0));
   EXPECT_EQ(nodeRows, c->serverCount());
   EXPECT_TRUE(sawCluster);
+}
+
+TEST(EnergyE2E, TenantClassNamesRoundTripThroughEnergyJsonl) {
+  // A quote and a backslash must be escaped, and a long name must not cut
+  // its line short: every line parses and names the declared classes.
+  for (const std::string& tenant :
+       {std::string("q\"uo\\te"), std::string(300, 'n')}) {
+    const std::string dir = ::testing::TempDir() + "energy_names";
+    std::filesystem::remove_all(dir);
+    auto c = runWorkload(42, /*metering=*/true, tenant);
+    ASSERT_TRUE(c->exportMetrics(dir));
+    std::set<std::string> classes;
+    std::size_t records = 0;
+    const auto malformed = obs::jsonl::readFile(
+        dir + "/energy.jsonl", [&](const obs::jsonl::Record& r) {
+          ++records;
+          if (r.type() == "energy_tenant") classes.insert(r.str("class"));
+        });
+    const std::string bytes = slurp(dir + "/energy.jsonl");
+    EXPECT_EQ(malformed, std::optional<std::size_t>(0)) << tenant;
+    EXPECT_EQ(records, static_cast<std::size_t>(std::count(
+                           bytes.begin(), bytes.end(), '\n')));
+    EXPECT_EQ(classes, (std::set<std::string>{tenant + "/read",
+                                              tenant + "/update"}));
+  }
 }
 
 TEST(EnergyE2E, EnergyJsonlIsByteIdenticalAcrossRepeatedRuns) {

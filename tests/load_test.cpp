@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "fault/fault_injector.hpp"
 #include "load/arrival.hpp"
 #include "load/traffic_source.hpp"
+#include "obs/metrics_exporter.hpp"
 #include "sim/token_bucket.hpp"
 #include "ycsb/workload.hpp"
 
@@ -390,6 +392,7 @@ TEST(OpenLoop, TenantIsolationUnderTenXSurge) {
   b.shape.flashCrowds = {{seconds(3), seconds(2), 10.0}};
 
   cfg.tenants = {a, b};
+  cfg.metricsDir = ::testing::TempDir() + "openloop_tenant_isolation";
   const core::OpenLoopResult r = core::runOpenLoopExperiment(cfg);
 
   ASSERT_EQ(r.tenants.size(), 2u);
@@ -421,6 +424,28 @@ TEST(OpenLoop, TenantIsolationUnderTenXSurge) {
   ASSERT_GT(surgeP999, 0.0);
   EXPECT_LT(surgeP999, 1.2 * baseP999)
       << "tenant A p999 degraded >20% during tenant B's surge";
+
+  // The export shows the surging tenant policed and the steady one
+  // untouched: the largest final counter/gauge value whose name fully
+  // matches `pattern` (NaN if none).
+  std::size_t malformed = 0;
+  const auto recs = obs::MetricsExporter::readJsonl(
+      cfg.metricsDir + "/metrics.jsonl", &malformed);
+  EXPECT_EQ(malformed, 0u);
+  auto exported = [&recs](const char* pattern) {
+    const std::regex re(pattern);
+    double v = std::nan("");
+    for (const auto& rec : recs) {
+      if ((rec.type == "counter" || rec.type == "gauge") &&
+          std::regex_match(rec.name, re) && !(v >= rec.value)) {
+        v = rec.value;
+      }
+    }
+    return v;
+  };
+  EXPECT_GE(exported(R"(node[0-9]+\.dispatch\.qos\.tenantB\.throttled)"), 1);
+  EXPECT_GE(exported(R"(node[0-9]+\.dispatch\.qos\.tenantB\.episodes)"), 1);
+  EXPECT_EQ(exported(R"(cluster\.qos\.tenantA\.throttled)"), 0);
 }
 
 // ------------------------------------------------------------- determinism

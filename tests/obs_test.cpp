@@ -1,17 +1,22 @@
 // Tests for the observability layer: metric registry, per-RPC time trace,
-// 1 Hz stats sampler and the JSONL/CSV exporter — plus an end-to-end YCSB
-// run checking that the exported series align with the PDU ticks and the
-// per-stage RPC histograms are populated.
+// 1 Hz stats sampler, the JSONL codec and the JSONL/CSV exporter — plus an
+// end-to-end YCSB run checking that the exported series align with the PDU
+// ticks and the per-stage RPC histograms are populated.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "obs/event_journal.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/metric_registry.hpp"
 #include "obs/metrics_exporter.hpp"
 #include "obs/stats_sampler.hpp"
@@ -560,6 +565,141 @@ TEST(MetricsExporter, JsonlRoundTrip) {
     if (!line.empty()) ++rows;
   }
   EXPECT_EQ(rows, 3);
+}
+
+// ----- JSONL codec (obs/jsonl.hpp)
+
+jsonl::Record parsed(const std::string& line) {
+  jsonl::Record r;
+  EXPECT_TRUE(r.parse(line)) << line;
+  return r;
+}
+
+TEST(JsonlCodec, KeyP99DoesNotMatchP999) {
+  EXPECT_EQ(parsed(R"({"type":"histogram","p999":9,"p99":5})").num("p99"), 5);
+  EXPECT_EQ(parsed(R"({"type":"histogram","p999":9})").num("p99", -1.0), -1);
+}
+
+TEST(JsonlCodec, StringValueContainingAKeyIsNotAKey) {
+  std::ostringstream os;
+  jsonl::LineWriter w(os);
+  w.begin("point").str("name", R"(x","t":42,")").end();
+  w.begin("point").str("name", R"("t":7)").num("t", 1.5).end();
+  std::istringstream is(os.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(is, line));
+  const auto noT = parsed(line);
+  EXPECT_EQ(noT.num("t", -1.0), -1);
+  EXPECT_EQ(noT.str("name"), R"(x","t":42,")");
+  ASSERT_TRUE(std::getline(is, line));
+  EXPECT_EQ(parsed(line).num("t"), 1.5);
+  // A hand-written line: the quoted "t": inside the value is not a key.
+  EXPECT_EQ(parsed(R"({"type":"p","name":"a\"t\":5","t":1})").num("t"), 1);
+}
+
+TEST(JsonlCodec, EscapeRoundTrip) {
+  const std::vector<std::string> values = {
+      "", "plain", "q\"uote", "back\\slash", "\\\"", "new\nline\ttab\r",
+      std::string("nul\0byte\x01\x1f", 10), "caf\xc3\xa9", std::string(300, 'x')};
+  std::ostringstream os;
+  jsonl::LineWriter w(os);
+  for (const std::string& v : values) w.begin(v).str("v", v).end();
+  const std::string text = os.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'),
+            static_cast<std::ptrdiff_t>(values.size()));
+  std::istringstream is(text);
+  for (const std::string& v : values) {
+    std::string line;
+    ASSERT_TRUE(std::getline(is, line));
+    const auto r = parsed(line);
+    EXPECT_EQ(r.str("v", "missing"), v);
+    EXPECT_EQ(r.type(), v);
+  }
+  // Escapes other writers use decode too.
+  EXPECT_EQ(parsed(R"({"type":"x","s":"a\/b\u00e9\u0041\n"})").str("s"),
+            "a/b\xc3\xa9" "A\n");
+}
+
+TEST(JsonlCodec, NumbersUsePrintfFormats) {
+  for (const double v : {0.0, -0.0, 1.0, 0.1, 123456.0, 1234567.0, 1e-7,
+                         -2.5e300, 3.14159265358979}) {
+    char g[64], f3[512], f9[512];
+    std::snprintf(g, sizeof g, "%g", v);
+    std::snprintf(f3, sizeof f3, "%.3f", v);
+    std::snprintf(f9, sizeof f9, "%.9f", v);
+    std::ostringstream os;
+    jsonl::LineWriter(os).begin("n").num("g", v).fixed("f3", v, 3)
+        .fixed("f9", v, 9).end();
+    EXPECT_EQ(os.str(), std::string("{\"type\":\"n\",\"g\":") + g +
+                            ",\"f3\":" + f3 + ",\"f9\":" + f9 + "}\n");
+  }
+  std::ostringstream os;
+  jsonl::LineWriter(os).begin("n").u64("u", ~0ull).i64("i", -1).end();
+  EXPECT_EQ(os.str(), R"({"type":"n","u":18446744073709551615,"i":-1})" "\n");
+  EXPECT_EQ(parsed(os.str()).num("i", 0), -1);
+}
+
+TEST(JsonlCodec, MissingFieldsKeepDefaults) {
+  const auto r = parsed(R"({"type":"counter","name":"a","n":"text"})");
+  EXPECT_EQ(r.num("value", 7.0), 7);
+  EXPECT_EQ(r.num<std::uint64_t>("count", 3), 3u);
+  EXPECT_EQ(r.str("unit", "dflt"), "dflt");
+  EXPECT_EQ(r.num("n", 7.0), 7);         // a string is not a number
+  EXPECT_EQ(r.num("name", 3), 3);
+  EXPECT_EQ(r.str("n"), "text");
+  // A number an integer cannot hold keeps the default too.
+  const auto big = parsed(R"({"type":"x","neg":-1,"huge":1e300,"ok":42})");
+  EXPECT_EQ(big.num<std::uint64_t>("neg", 7), 7u);
+  EXPECT_EQ(big.num<int>("huge", 3), 3);
+  EXPECT_EQ(big.num<std::uint64_t>("huge", 3), 3u);
+  EXPECT_EQ(big.num<int>("ok", 3), 42);
+  EXPECT_EQ(big.num("huge"), 1e300);
+
+  const std::string path = ::testing::TempDir() + "/jsonl_defaults.jsonl";
+  std::ofstream(path) << R"({"type":"span","name":"x","extra":1})" "\n";
+  std::size_t malformed = 1;
+  const auto spans = EventJournal::readJsonl(path, &malformed);
+  EXPECT_EQ(malformed, 0u);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "x");
+  EXPECT_EQ(spans[0].id, 0u);
+  EXPECT_EQ(spans[0].node, -1);  // EventJournal::Span's own default
+  EXPECT_TRUE(spans[0].open);
+  EXPECT_EQ(spans[0].joules, 0);
+}
+
+TEST(JsonlCodec, TruncatedLineIsMalformedAndYieldsNoRecord) {
+  for (const char* bad :
+       {R"({"type":"counter","name":"a","value":1)",
+        R"({"type":"counter","name":"a","val)", R"({"type":"counter","name)",
+        R"({"name":"no type","value":1})", R"({"type":"x","v":[1]})",
+        R"({"type":"x"} trailing)", R"({"type":"x","s":"bad\q"})",
+        "not json"}) {
+    jsonl::Record r;
+    EXPECT_FALSE(r.parse(bad)) << bad;
+    EXPECT_EQ(r.str("type", "none"), "none") << bad;
+    EXPECT_EQ(r.type(), "") << bad;
+  }
+  const std::string path = ::testing::TempDir() + "/jsonl_truncated.jsonl";
+  std::ofstream(path)
+      << R"({"type":"counter","name":"a","unit":"ops","value":1})" "\n"
+      << "\n"
+      << R"({"type":"counter","name":"b","unit":"ops","val)" "\n"
+      << R"({"type":"gauge","name":"c","unit":"items","value":2})" "\n"
+      << R"({"type":"span","id":3,"name":"replay","node":1,"t0":0.5)";
+  std::size_t malformed = 0;
+  const auto recs = MetricsExporter::readJsonl(path, &malformed);
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].name, "a");
+  EXPECT_EQ(recs[1].name, "c");
+  EXPECT_EQ(malformed, 2u);
+  EXPECT_TRUE(EventJournal::readJsonl(path, &malformed).empty());
+  EXPECT_EQ(malformed, 2u);
+  std::size_t records = 0;
+  EXPECT_EQ(jsonl::readFile(path, [&](const jsonl::Record&) { ++records; }),
+            std::optional<std::size_t>(2));
+  EXPECT_EQ(records, 2u);
+  EXPECT_FALSE(jsonl::readFile(path + ".absent", nullptr).has_value());
 }
 
 // ----- end to end: cluster YCSB run with export

@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -25,6 +27,7 @@
 
 #include "core/cluster.hpp"
 #include "fault/fault_injector.hpp"
+#include "obs/metrics_exporter.hpp"
 #include "server/common.hpp"
 #include "server/dispatch.hpp"
 #include "server/master_service.hpp"
@@ -569,6 +572,28 @@ TEST(Overload, FlashCrowdReplaysBitIdentical) {
   const std::string eventsA = slurp(dirA + "/events.jsonl");
   ASSERT_FALSE(eventsA.empty());
   EXPECT_EQ(eventsA, slurp(dirB + "/events.jsonl"));
+
+  // Admission is visibly engaged in the storm export: the largest final
+  // counter/gauge value whose name fully matches `pattern` (NaN if none).
+  std::size_t malformed = 0;
+  const auto recs =
+      obs::MetricsExporter::readJsonl(dirA + "/metrics.jsonl", &malformed);
+  EXPECT_EQ(malformed, 0u);
+  auto exported = [&recs](const char* pattern) {
+    const std::regex re(pattern);
+    double v = std::nan("");
+    for (const auto& rec : recs) {
+      if ((rec.type == "counter" || rec.type == "gauge") &&
+          std::regex_match(rec.name, re) && !(v >= rec.value)) {
+        v = rec.value;
+      }
+    }
+    return v;
+  };
+  EXPECT_GE(exported(R"(cluster\.shed_requests)"), 1);
+  EXPECT_GE(exported(R"(net\.rpc\.overloaded\.total)"), 1);
+  EXPECT_GE(exported(R"(node[0-9]+\.dispatch\.shed\.writes)"), 1);
+  EXPECT_GE(exported(R"(slo\.exemplar_brownouts)"), 1);
 }
 
 // The anti-metastability regression fixture: the same flash crowd with

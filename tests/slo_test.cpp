@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/slo_tracker.hpp"
 #include "obs/time_trace.hpp"
 #include "sim/simulation.hpp"
@@ -395,4 +399,60 @@ TEST(SloEndToEnd, ExportWritesSloJsonlThatRoundTripsByteIdentically) {
   const std::string a = slurp(dirA + "/slo.jsonl");
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, slurp(dirB + "/slo.jsonl"));
+}
+
+TEST(SloEndToEnd, ClassNamesRoundTripThroughSloAndFlightJsonl) {
+  // A quote and a backslash must be escaped, and a 300-character name must
+  // not cut its line short: every line of slo.jsonl and flight.jsonl
+  // parses, and each names exactly the declared classes.
+  for (const std::string& tenant :
+       {std::string("q\"uo\\te"), std::string(300, 'n')}) {
+    core::ClusterParams p;
+    p.servers = 3;
+    p.clients = 2;
+    p.replicationFactor = 2;
+    p.seed = 11;
+    core::Cluster c(p);
+    // A 1 us p99 target breaches every window, so the breach arms the
+    // flight recorder with "slo_breach:<class>".
+    const std::set<std::string> classes = {tenant + "/read",
+                                           tenant + "/update"};
+    for (const std::string& cls : classes) {
+      c.sloTracker().declareClass(cls, obs::SloTarget{sim::usec(1), 0});
+    }
+    const auto table = c.createTable("usertable");
+    c.bulkLoad(table, 2'000, 128);
+    ycsb::YcsbClientParams ycp;
+    ycp.tenant = tenant;
+    c.configureYcsb(table, ycsb::WorkloadSpec::A(2'000), ycp);
+    c.startYcsb();
+    c.sim().runFor(sim::msec(1500));
+    c.stopYcsb();
+    const std::string dir = ::testing::TempDir() + "slo_class_names";
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(c.exportMetrics(dir));
+
+    std::set<std::string> seen;
+    std::set<std::string> reasons;
+    auto read = [&](const std::string& file, const std::string& key,
+                    std::set<std::string>* into) {
+      std::size_t records = 0;
+      const auto malformed = obs::jsonl::readFile(
+          dir + "/" + file, [&](const obs::jsonl::Record& r) {
+            ++records;
+            if (!r.str(key).empty()) into->insert(r.str(key));
+          });
+      const std::string bytes = slurp(dir + "/" + file);
+      EXPECT_EQ(malformed, std::optional<std::size_t>(0)) << file;
+      EXPECT_EQ(records, static_cast<std::size_t>(std::count(
+                             bytes.begin(), bytes.end(), '\n')))
+          << file;
+    };
+    read("slo.jsonl", "class", &seen);
+    read("flight.jsonl", "reason", &reasons);
+    EXPECT_EQ(seen, classes);
+    for (const std::string& cls : classes) {
+      EXPECT_EQ(reasons.count("slo_breach:" + cls), 1u) << cls;
+    }
+  }
 }

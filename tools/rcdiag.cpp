@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -36,18 +35,24 @@
 #include <vector>
 
 #include "obs/event_journal.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/metrics_exporter.hpp"
 #include "sim/time.hpp"
 
 namespace {
 
+namespace jsonl = rc::obs::jsonl;
 using rc::obs::EventJournal;
 using rc::obs::MetricsExporter;
 using Span = EventJournal::Span;
 
 struct RunData {
   std::vector<Span> spans;
-  std::unordered_map<std::uint64_t, const Span*> byId;
+  /// metrics.jsonl, parsed once for every subcommand (optional file), and
+  /// its final counter/gauge values by name.
+  std::vector<MetricsExporter::Record> metrics;
+  std::map<std::string, double> counters;
+  std::size_t malformed = 0;  ///< lines of both files that failed to parse
   /// node id -> 1 Hz PDU samples (t seconds, watts); sample at t covers
   /// [t - interval, t).
   std::map<int, std::vector<std::pair<double, double>>> pdu;
@@ -59,27 +64,39 @@ double t1s(const Span& s) {
   return rc::sim::toSeconds(s.open ? s.begin : s.end);
 }
 
+/// True if `name` is a per-node metric "node<N><suffix>".
+bool isNodeMetric(const std::string& name, const std::string& suffix) {
+  return name.rfind("node", 0) == 0 && name.size() > suffix.size() &&
+         name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// The readers skip malformed lines; say so rather than hide them.
+std::size_t warnMalformed(const std::string& path, std::size_t n) {
+  if (n > 0) {
+    std::fprintf(stderr, "rcdiag: %zu malformed line(s) in %s skipped\n", n,
+                 path.c_str());
+  }
+  return n;
+}
+
 bool loadRun(const std::string& dir, RunData* out) {
-  out->spans = EventJournal::readJsonl(dir + "/events.jsonl");
+  std::size_t bad = 0;
+  out->spans = EventJournal::readJsonl(dir + "/events.jsonl", &bad);
+  out->malformed = warnMalformed(dir + "/events.jsonl", bad);
   if (out->spans.empty()) {
     std::fprintf(stderr, "rcdiag: no spans in %s/events.jsonl\n", dir.c_str());
     return false;
   }
-  for (const Span& s : out->spans) out->byId[s.id] = &s;
 
   // PDU series are optional (energy columns degrade gracefully).
-  for (const auto& rec : MetricsExporter::readJsonl(dir + "/metrics.jsonl")) {
-    if (rec.type != "point") continue;
-    constexpr const char* kPrefix = "node";
-    constexpr const char* kSuffix = ".pdu.watts";
-    if (rec.name.rfind(kPrefix, 0) != 0) continue;
-    const auto dot = rec.name.find(kSuffix);
-    if (dot == std::string::npos ||
-        dot + std::strlen(kSuffix) != rec.name.size()) {
-      continue;
+  out->metrics = MetricsExporter::readJsonl(dir + "/metrics.jsonl", &bad);
+  out->malformed += warnMalformed(dir + "/metrics.jsonl", bad);
+  for (const auto& rec : out->metrics) {
+    if (rec.type == "counter" || rec.type == "gauge") {
+      out->counters[rec.name] = rec.value;
+    } else if (rec.type == "point" && isNodeMetric(rec.name, ".pdu.watts")) {
+      out->pdu[std::atoi(rec.name.c_str() + 4)].emplace_back(rec.t, rec.value);
     }
-    const int node = std::atoi(rec.name.c_str() + std::strlen(kPrefix));
-    out->pdu[node].emplace_back(rec.t, rec.value);
   }
   for (auto& [node, samples] : out->pdu) {
     std::sort(samples.begin(), samples.end());
@@ -215,7 +232,7 @@ void printTxSummary(const RunData& run) {
 /// episodes reconstructed from the journal's overload_enter/overload_exit
 /// instant events, plus the final shed/bounce/deferral counters from
 /// metrics.jsonl. Quiet runs print a single all-clear line.
-void printOverload(const RunData& run, const std::string& dir) {
+void printOverload(const RunData& run) {
   // Pair enter/exit events per node, in time order (spans_ is begin-ordered
   // so a linear scan suffices).
   struct NodeOverload {
@@ -251,15 +268,9 @@ void printOverload(const RunData& run, const std::string& dir) {
   }
 
   // Final counter values (cumulative; the exporter writes them once).
-  std::map<std::string, double> counters;
-  for (const auto& rec : MetricsExporter::readJsonl(dir + "/metrics.jsonl")) {
-    if (rec.type == "counter" || rec.type == "gauge") {
-      counters[rec.name] = rec.value;
-    }
-  }
-  auto counter = [&counters](const std::string& name) {
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0.0 : it->second;
+  auto counter = [&run](const std::string& name) {
+    const auto it = run.counters.find(name);
+    return it == run.counters.end() ? 0.0 : it->second;
   };
   const double shed = counter("cluster.shed_requests");
   const double bounced = counter("net.rpc.overloaded.total");
@@ -279,9 +290,8 @@ void printOverload(const RunData& run, const std::string& dir) {
   // Per-node rows: every node with an episode or a non-zero shed counter.
   std::set<int> nodes;
   for (const auto& [node, n] : byNode) nodes.insert(node);
-  for (const auto& [name, v] : counters) {
-    if (v > 0 && name.rfind("node", 0) == 0 &&
-        name.find(".dispatch.shed.total") != std::string::npos) {
+  for (const auto& [name, v] : run.counters) {
+    if (v > 0 && isNodeMetric(name, ".dispatch.shed.total")) {
       nodes.insert(std::atoi(name.c_str() + 4));
     }
   }
@@ -307,7 +317,7 @@ void printOverload(const RunData& run, const std::string& dir) {
 /// episodes} from metrics.jsonl, rolled up per tenant and per node, plus
 /// the journal's qos_throttle episode markers. Runs without QoS policies
 /// print a single all-clear line.
-void printTenantQos(const RunData& run, const std::string& dir) {
+void printTenantQos(const RunData& run) {
   struct QosAgg {
     double offered = 0;
     double admitted = 0;
@@ -316,22 +326,21 @@ void printTenantQos(const RunData& run, const std::string& dir) {
   };
   // (tenant, node) -> counters; node -1 aggregates the tenant.
   std::map<std::pair<std::string, int>, QosAgg> agg;
-  for (const auto& rec : MetricsExporter::readJsonl(dir + "/metrics.jsonl")) {
-    if (rec.type != "counter" && rec.type != "gauge") continue;
-    if (rec.name.rfind("node", 0) != 0) continue;
-    const auto qat = rec.name.find(".dispatch.qos.");
+  for (const auto& [name, value] : run.counters) {
+    if (name.rfind("node", 0) != 0) continue;
+    const auto qat = name.find(".dispatch.qos.");
     if (qat == std::string::npos) continue;
-    const int node = std::atoi(rec.name.c_str() + 4);
+    const int node = std::atoi(name.c_str() + 4);
     const auto from = qat + std::strlen(".dispatch.qos.");
-    const auto dot = rec.name.rfind('.');
+    const auto dot = name.rfind('.');
     if (dot == std::string::npos || dot <= from) continue;
-    const std::string tenant = rec.name.substr(from, dot - from);
-    const std::string which = rec.name.substr(dot + 1);
+    const std::string tenant = name.substr(from, dot - from);
+    const std::string which = name.substr(dot + 1);
     for (auto* a : {&agg[{tenant, node}], &agg[{tenant, -1}]}) {
-      if (which == "offered") a->offered += rec.value;
-      else if (which == "admitted") a->admitted += rec.value;
-      else if (which == "throttled") a->throttled += rec.value;
-      else if (which == "episodes") a->episodes += rec.value;
+      if (which == "offered") a->offered += value;
+      else if (which == "admitted") a->admitted += value;
+      else if (which == "throttled") a->throttled += value;
+      else if (which == "episodes") a->episodes += value;
     }
   }
   if (agg.empty()) {
@@ -524,28 +533,6 @@ void printPhases(const RunData& run) {
 
 // --------------------------------------------------------------------- slo
 
-/// Minimal flat-JSONL field access (every slo.jsonl line is one flat
-/// object, the same convention metrics.jsonl uses).
-bool jsonNum(const std::string& line, const std::string& key, double* out) {
-  const std::string pat = "\"" + key + "\":";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(line.c_str() + at + pat.size(), nullptr);
-  return true;
-}
-
-bool jsonStr(const std::string& line, const std::string& key,
-             std::string* out) {
-  const std::string pat = "\"" + key + "\":\"";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  const auto from = at + pat.size();
-  const auto end = line.find('"', from);
-  if (end == std::string::npos) return false;
-  *out = line.substr(from, end - from);
-  return true;
-}
-
 struct SloWindow {
   std::uint64_t window = 0;
   double t0 = 0, t1 = 0;  ///< seconds
@@ -576,55 +563,38 @@ struct SloStage {
 };
 
 int sloCmd(const std::string& dir) {
-  std::ifstream is(dir + "/slo.jsonl");
-  if (!is) {
+  std::vector<SloWindow> windows;
+  std::vector<SloExemplar> exemplars;
+  std::vector<SloStage> stages;
+  const std::string path = dir + "/slo.jsonl";
+  const auto bad = jsonl::readFile(path, [&](const jsonl::Record& r) {
+    if (r.type() == "slo_window") {
+      windows.push_back(
+          {.window = r.num<std::uint64_t>("window"),
+           .t0 = r.num("t0_us") / 1e6, .t1 = r.num("t1_us") / 1e6,
+           .cls = r.str("class"), .count = r.num<std::uint64_t>("count"),
+           .p50 = r.num("p50_us"), .p99 = r.num("p99_us"),
+           .p999 = r.num("p999_us"), .targetP99 = r.num("target_p99_us"),
+           .targetP999 = r.num("target_p999_us"),
+           .burn = r.num("burn_rate"), .breached = r.num("breached", false)});
+    } else if (r.type() == "exemplar") {
+      exemplars.push_back(
+          {.window = r.num<std::uint64_t>("window"), .cls = r.str("class"),
+           .rank = r.num("rank", 0), .span = r.num<std::uint64_t>("span"),
+           .node = r.num("node", -1), .us = r.num("us")});
+    } else if (r.type() == "exemplar_stage") {
+      stages.push_back({.span = r.num<std::uint64_t>("span"),
+                        .seq = r.num("seq", 0), .stage = r.str("stage"),
+                        .us = r.num("us"), .depth = r.num("depth", -1),
+                        .node = r.num("node", -1)});
+    }
+  });
+  if (!bad) {
     std::fprintf(stderr, "rcdiag: no slo.jsonl in %s (SLO tracking off?)\n",
                  dir.c_str());
     return 1;
   }
-  std::vector<SloWindow> windows;
-  std::vector<SloExemplar> exemplars;
-  std::vector<SloStage> stages;
-  std::string line;
-  while (std::getline(is, line)) {
-    std::string type;
-    if (!jsonStr(line, "type", &type)) continue;
-    double v = 0;
-    if (type == "slo_window") {
-      SloWindow w;
-      if (jsonNum(line, "window", &v)) w.window = static_cast<std::uint64_t>(v);
-      if (jsonNum(line, "t0_us", &v)) w.t0 = v / 1e6;
-      if (jsonNum(line, "t1_us", &v)) w.t1 = v / 1e6;
-      jsonStr(line, "class", &w.cls);
-      if (jsonNum(line, "count", &v)) w.count = static_cast<std::uint64_t>(v);
-      jsonNum(line, "p50_us", &w.p50);
-      jsonNum(line, "p99_us", &w.p99);
-      jsonNum(line, "p999_us", &w.p999);
-      jsonNum(line, "target_p99_us", &w.targetP99);
-      jsonNum(line, "target_p999_us", &w.targetP999);
-      jsonNum(line, "burn_rate", &w.burn);
-      if (jsonNum(line, "breached", &v)) w.breached = v != 0;
-      windows.push_back(std::move(w));
-    } else if (type == "exemplar") {
-      SloExemplar e;
-      if (jsonNum(line, "window", &v)) e.window = static_cast<std::uint64_t>(v);
-      jsonStr(line, "class", &e.cls);
-      if (jsonNum(line, "rank", &v)) e.rank = static_cast<int>(v);
-      if (jsonNum(line, "span", &v)) e.span = static_cast<std::uint64_t>(v);
-      if (jsonNum(line, "node", &v)) e.node = static_cast<int>(v);
-      jsonNum(line, "us", &e.us);
-      exemplars.push_back(std::move(e));
-    } else if (type == "exemplar_stage") {
-      SloStage s;
-      if (jsonNum(line, "span", &v)) s.span = static_cast<std::uint64_t>(v);
-      if (jsonNum(line, "seq", &v)) s.seq = static_cast<int>(v);
-      jsonStr(line, "stage", &s.stage);
-      jsonNum(line, "us", &s.us);
-      if (jsonNum(line, "depth", &v)) s.depth = static_cast<int>(v);
-      if (jsonNum(line, "node", &v)) s.node = static_cast<int>(v);
-      stages.push_back(std::move(s));
-    }
-  }
+  warnMalformed(path, *bad);
   if (windows.empty()) {
     std::fprintf(stderr, "rcdiag: slo.jsonl has no slo_window lines\n");
     return 1;
@@ -765,62 +735,44 @@ struct EnergyData {
   std::map<std::string, std::map<double, double>> wattsTimeline;
   /// per-tick cluster ops/s (cluster.client.ops.rate).
   std::map<double, double> opsTimeline;
+  std::size_t malformed = 0;  ///< energy.jsonl lines that failed to parse
 };
 
 bool loadEnergy(const std::string& dir, EnergyData* out) {
-  std::ifstream is(dir + "/energy.jsonl");
-  if (!is) {
+  const std::string path = dir + "/energy.jsonl";
+  const auto bad = jsonl::readFile(path, [&](const jsonl::Record& r) {
+    if (r.type() == "energy_node") {
+      EnergyNode& n = out->nodes.emplace_back(EnergyNode{
+          .node = r.num("node", -1), .seconds = r.num("seconds"),
+          .totalJ = r.num("total_j"), .pduJ = r.num("pdu_j"),
+          .meanW = r.num("mean_w")});
+      for (std::size_t c = 0; c < kNumComponents; ++c) {
+        n.comp[c] = r.num(std::string(kComponents[c]) + "_j");
+      }
+    } else if (r.type() == "energy_cell") {
+      out->cells.push_back({.node = r.num("node", -1),
+                            .component = r.str("component"),
+                            .cls = r.str("class"), .tenant = r.num("tenant", 0),
+                            .joules = r.num("joules")});
+    } else if (r.type() == "energy_remainder") {
+      out->remainders[{r.num("node", -1), r.str("component")}] =
+          r.num("joules");
+    } else if (r.type() == "energy_tenant") {
+      out->tenants.push_back(
+          {.cls = r.str("class"), .joules = r.num("joules"),
+           .ops = r.num<std::uint64_t>("ops"), .jPerOp = r.num("j_per_op"),
+           .opsPerJ = r.num("ops_per_j")});
+    } else if (r.type() == "energy_cluster") {
+      out->clusterJ = r.num("total_j");
+      out->clusterOps = r.num<std::uint64_t>("ops");
+      out->clusterOpsPerJ = r.num("ops_per_j");
+    }
+  });
+  if (!bad) {
     std::fprintf(stderr, "rcdiag: no energy.jsonl in %s\n", dir.c_str());
     return false;
   }
-  std::string line;
-  while (std::getline(is, line)) {
-    std::string type;
-    if (!jsonStr(line, "type", &type)) continue;
-    double v = 0;
-    if (type == "energy_node") {
-      EnergyNode n;
-      if (jsonNum(line, "node", &v)) n.node = static_cast<int>(v);
-      jsonNum(line, "seconds", &n.seconds);
-      for (std::size_t c = 0; c < kNumComponents; ++c) {
-        jsonNum(line, std::string(kComponents[c]) + "_j", &n.comp[c]);
-      }
-      jsonNum(line, "total_j", &n.totalJ);
-      jsonNum(line, "pdu_j", &n.pduJ);
-      jsonNum(line, "mean_w", &n.meanW);
-      out->nodes.push_back(n);
-    } else if (type == "energy_cell") {
-      EnergyCell c;
-      if (jsonNum(line, "node", &v)) c.node = static_cast<int>(v);
-      jsonStr(line, "component", &c.component);
-      jsonStr(line, "class", &c.cls);
-      if (jsonNum(line, "tenant", &v)) c.tenant = static_cast<int>(v);
-      jsonNum(line, "joules", &c.joules);
-      out->cells.push_back(std::move(c));
-    } else if (type == "energy_remainder") {
-      int node = -1;
-      std::string comp;
-      double j = 0;
-      if (jsonNum(line, "node", &v)) node = static_cast<int>(v);
-      jsonStr(line, "component", &comp);
-      jsonNum(line, "joules", &j);
-      out->remainders[{node, comp}] = j;
-    } else if (type == "energy_tenant") {
-      EnergyTenant t;
-      jsonStr(line, "class", &t.cls);
-      jsonNum(line, "joules", &t.joules);
-      if (jsonNum(line, "ops", &v)) t.ops = static_cast<std::uint64_t>(v);
-      jsonNum(line, "j_per_op", &t.jPerOp);
-      jsonNum(line, "ops_per_j", &t.opsPerJ);
-      out->tenants.push_back(std::move(t));
-    } else if (type == "energy_cluster") {
-      jsonNum(line, "total_j", &out->clusterJ);
-      if (jsonNum(line, "ops", &v)) {
-        out->clusterOps = static_cast<std::uint64_t>(v);
-      }
-      jsonNum(line, "ops_per_j", &out->clusterOpsPerJ);
-    }
-  }
+  out->malformed = warnMalformed(path, *bad);
   if (out->nodes.empty()) {
     std::fprintf(stderr, "rcdiag: energy.jsonl has no energy_node lines\n");
     return false;
@@ -828,19 +780,19 @@ bool loadEnergy(const std::string& dir, EnergyData* out) {
 
   // Optional timelines from the 1 Hz sampler (metrics.jsonl points): the
   // cumulative joules counters become watt series via their .rate form.
-  for (const auto& rec : MetricsExporter::readJsonl(dir + "/metrics.jsonl")) {
+  std::size_t badMetrics = 0;
+  const auto metrics =
+      MetricsExporter::readJsonl(dir + "/metrics.jsonl", &badMetrics);
+  warnMalformed(dir + "/metrics.jsonl", badMetrics);
+  for (const auto& rec : metrics) {
     if (rec.type != "point") continue;
     if (rec.name == "cluster.client.ops.rate") {
       out->opsTimeline[rec.t] += rec.value;
       continue;
     }
-    if (rec.name.rfind("node", 0) != 0) continue;
     for (std::size_t c = 0; c < kNumComponents; ++c) {
-      const std::string suffix =
-          std::string(".energy.") + kComponents[c] + ".joules.rate";
-      if (rec.name.size() > suffix.size() &&
-          rec.name.compare(rec.name.size() - suffix.size(), suffix.size(),
-                           suffix) == 0) {
+      if (isNodeMetric(rec.name, std::string(".energy.") + kComponents[c] +
+                                     ".joules.rate")) {
         out->wattsTimeline[kComponents[c]][rec.t] += rec.value;
         break;
       }
@@ -853,7 +805,7 @@ bool loadEnergy(const std::string& dir, EnergyData* out) {
 /// must match the sampled total within 0.1 % (docs/ENERGY.md). Returns the
 /// number of violations.
 int checkEnergy(const EnergyData& e, bool verbose) {
-  int violations = 0;
+  int violations = static_cast<int>(e.malformed);  // loadEnergy reported them
   for (const EnergyNode& n : e.nodes) {
     if (n.pduJ <= 0) continue;  // PDU never sampled this node
     const double delta = std::abs(n.totalJ - n.pduJ) / n.pduJ;
@@ -1104,9 +1056,9 @@ int checkRun(const std::string& dir) {
     }
   }
 
-  // metrics.jsonl (when present) must parse into typed records.
-  const auto recs = MetricsExporter::readJsonl(dir + "/metrics.jsonl");
-  for (const auto& rec : recs) {
+  // Both files must parse (loadRun reported the lines that did not).
+  violations += static_cast<int>(run.malformed);
+  for (const auto& rec : run.metrics) {
     if (rec.type != "counter" && rec.type != "gauge" &&
         rec.type != "histogram" && rec.type != "point" &&
         rec.type != "trace") {
@@ -1118,7 +1070,7 @@ int checkRun(const std::string& dir) {
 
   if (violations == 0) {
     std::printf("check: OK (%zu spans, %zu metric records)\n",
-                run.spans.size(), recs.size());
+                run.spans.size(), run.metrics.size());
     return 0;
   }
   std::fprintf(stderr, "check: %d violation(s)\n", violations);
@@ -1179,16 +1131,16 @@ int main(int argc, char** argv) {
   } else if (cmd == "tx") {
     printTxSummary(run);
   } else if (cmd == "overload") {
-    printOverload(run, dir);
+    printOverload(run);
   } else if (cmd == "qos") {
-    printTenantQos(run, dir);
+    printTenantQos(run);
   } else if (cmd == "report") {
     printTimeline(run);
     printCriticalPath(run);
     printPhases(run);
     printTxSummary(run);
-    printOverload(run, dir);
-    printTenantQos(run, dir);
+    printOverload(run);
+    printTenantQos(run);
   } else {
     usage();
     return 2;
