@@ -46,12 +46,6 @@ struct ClientParams {
   sim::Duration recoveringBackoff = sim::msec(20);
   /// How long an op may block on recovery before giving up entirely.
   sim::Duration recoveringDeadline = sim::seconds(180);
-  /// Exactly-once semantics (RIFL, docs/LINEARIZABILITY.md): lazily open a
-  /// coordinator lease before the first mutating op and stamp every
-  /// write/remove with (clientId, rpcSeq, firstUnacked) so masters can
-  /// suppress duplicate retries. Off reverts to PR 3's at-least-once
-  /// retries. Batched multiWrite stays untracked either way.
-  bool exactlyOnce = true;
 };
 
 struct ClientStats {
@@ -131,8 +125,8 @@ class RamCloudClient {
   // optimistic read set; writes are buffered locally; txCommit runs the
   // prepare round (per-object version locks + durable kTxPrepare records on
   // the participants) and, if every vote is yes, the decision round. Any
-  // vote-no or unknown vote aborts. Requires exactlyOnce (the locks are
-  // reclaimed through the owning lease when this client dies).
+  // vote-no or unknown vote aborts. The locks are reclaimed through the
+  // owning lease when this client dies.
 
   /// Open a transaction context; returns its globally-unique txId.
   std::uint64_t txBegin();
@@ -228,11 +222,14 @@ class RamCloudClient {
     bool holdSeq = false;
   };
 
-  bool tracked(const OpState& st) const {
-    return params_.exactlyOnce &&
-           (st.op == net::Opcode::kWrite || st.op == net::Opcode::kRemove ||
-            st.op == net::Opcode::kTxDecision ||
-            (st.op == net::Opcode::kTxPrepare && st.valueBytes > 0));
+  /// Exactly-once ops (RIFL, docs/LINEARIZABILITY.md): the client lazily
+  /// opens a coordinator lease before the first one and stamps each with
+  /// (clientId, rpcSeq, firstUnacked) so masters suppress duplicate
+  /// retries. Reads and batched multi-ops stay untracked.
+  static bool tracked(const OpState& st) {
+    return st.op == net::Opcode::kWrite || st.op == net::Opcode::kRemove ||
+           st.op == net::Opcode::kTxDecision ||
+           (st.op == net::Opcode::kTxPrepare && st.valueBytes > 0);
   }
 
   void issue(OpState st);

@@ -593,6 +593,33 @@ void Cluster::setEnergyMetering(bool on) {
   }
 }
 
+namespace {
+
+/// First insert key of client host `host` (workload D): disjoint ranges per
+/// host, above the preloaded records, for either kind of load generator.
+std::uint64_t insertKeyBase(const ycsb::WorkloadSpec& spec, int host) {
+  return spec.recordCount + static_cast<std::uint64_t>(host + 1) * (1ULL << 32);
+}
+
+/// Sums `f(host)` over the client hosts.
+template <class F>
+std::uint64_t sumHosts(const std::vector<Cluster::ClientHost>& hosts, F f) {
+  std::uint64_t n = 0;
+  for (const auto& c : hosts) n += f(c);
+  return n;
+}
+
+/// Sums one YcsbStats counter over both kinds of load generator.
+std::uint64_t sumLoad(const std::vector<Cluster::ClientHost>& hosts,
+                      std::uint64_t ycsb::YcsbStats::*counter) {
+  return sumHosts(hosts, [counter](const Cluster::ClientHost& c) {
+    return (c.ycsb ? c.ycsb->stats().*counter : 0) +
+           (c.traffic ? c.traffic->stats().*counter : 0);
+  });
+}
+
+}  // namespace
+
 void Cluster::configureYcsb(
     std::uint64_t tableId, const ycsb::WorkloadSpec& spec,
     const ycsb::YcsbClientParams& clientParams,
@@ -600,9 +627,7 @@ void Cluster::configureYcsb(
   for (int i = 0; i < clientCount(); ++i) {
     ClientHost& c = clients_[static_cast<std::size_t>(i)];
     ycsb::YcsbClientParams p = clientParams;
-    // Disjoint insert key ranges per client machine (workload D).
-    p.insertKeyBase =
-        spec.recordCount + static_cast<std::uint64_t>(i + 1) * (1ULL << 32);
+    p.insertKeyBase = insertKeyBase(spec, i);
     if (perClient) perClient(i, p);
     c.ycsb = std::make_unique<ycsb::YcsbClient>(
         sim_, *c.rc, tableId, spec, p,
@@ -618,8 +643,7 @@ void Cluster::configureOpenLoop(
     if (static_cast<std::size_t>(i) >= sources.size()) break;
     ClientHost& c = clients_[static_cast<std::size_t>(i)];
     load::TrafficSourceParams p = sources[static_cast<std::size_t>(i)];
-    p.insertKeyBase =
-        spec.recordCount + static_cast<std::uint64_t>(i + 1) * (1ULL << 32);
+    p.insertKeyBase = insertKeyBase(spec, i);
     // Splitmix-forked per-source RNG: seeded purely from (cluster seed,
     // host index), independent of how much entropy the root stream already
     // spent — so source streams replay bit-identically per seed.
@@ -687,27 +711,21 @@ void Cluster::configureQos(const server::QosParams& qos) {
 }
 
 std::uint64_t Cluster::totalArrivalsGenerated() const {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) {
-    if (c.traffic) n += c.traffic->arrivalsGenerated();
-  }
-  return n;
+  return sumHosts(clients_, [](const ClientHost& c) {
+    return c.traffic ? c.traffic->arrivalsGenerated() : 0;
+  });
 }
 
 std::uint64_t Cluster::totalGeneratorWakeups() const {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) {
-    if (c.traffic) n += c.traffic->wakeups();
-  }
-  return n;
+  return sumHosts(clients_, [](const ClientHost& c) {
+    return c.traffic ? c.traffic->wakeups() : 0;
+  });
 }
 
 std::uint64_t Cluster::totalSourceDropped() const {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) {
-    if (c.traffic) n += c.traffic->sourceDropped();
-  }
-  return n;
+  return sumHosts(clients_, [](const ClientHost& c) {
+    return c.traffic ? c.traffic->sourceDropped() : 0;
+  });
 }
 
 std::uint64_t Cluster::qosCounter(const std::string& policy,
@@ -746,37 +764,23 @@ bool Cluster::allYcsbDone() const {
 }
 
 std::uint64_t Cluster::totalOpsCompleted() const {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) {
-    if (c.ycsb) n += c.ycsb->stats().opsCompleted;
-    if (c.traffic) n += c.traffic->stats().opsCompleted;
-  }
-  return n;
+  return sumLoad(clients_, &ycsb::YcsbStats::opsCompleted);
 }
 
 std::uint64_t Cluster::totalOpFailures() const {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) {
-    if (c.ycsb) n += c.ycsb->stats().failures;
-    if (c.traffic) n += c.traffic->stats().failures;
-  }
-  return n;
+  return sumLoad(clients_, &ycsb::YcsbStats::failures);
 }
 
 std::uint64_t Cluster::totalRpcTimeouts() const {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) {
-    if (c.rc) n += c.rc->stats().rpcTimeouts;
-  }
-  return n;
+  return sumHosts(clients_, [](const ClientHost& c) {
+    return c.rc ? c.rc->stats().rpcTimeouts : 0;
+  });
 }
 
 std::uint64_t Cluster::totalRpcRetries() const {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) {
-    if (c.rc) n += c.rc->totalRetries();
-  }
-  return n;
+  return sumHosts(clients_, [](const ClientHost& c) {
+    return c.rc ? c.rc->totalRetries() : 0;
+  });
 }
 
 std::uint64_t Cluster::totalShedRequests() const {
@@ -786,11 +790,9 @@ std::uint64_t Cluster::totalShedRequests() const {
 }
 
 std::uint64_t Cluster::totalOverloadedBounces() const {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) {
-    if (c.rc) n += c.rc->stats().overloadedBounces;
-  }
-  return n;
+  return sumHosts(clients_, [](const ClientHost& c) {
+    return c.rc ? c.rc->stats().overloadedBounces : 0;
+  });
 }
 
 void Cluster::crashServer(int idx) {

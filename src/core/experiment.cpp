@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace rc::core {
@@ -38,38 +39,16 @@ YcsbExperimentResult runYcsbExperiment(const YcsbExperimentConfig& cfg) {
   cluster.configureYcsb(table, cfg.workload, ycp, cfg.perClientParams);
   cluster.startYcsb();
 
-  const sim::Duration warmup = static_cast<sim::Duration>(
-      static_cast<double>(cfg.warmup) * cfg.timeScale);
-  const sim::Duration measure = std::max<sim::Duration>(
-      sim::msec(500), static_cast<sim::Duration>(
-                          static_cast<double>(cfg.measure) * cfg.timeScale));
-
-  cluster.sim().runFor(warmup);
-
-  // Window-start snapshots (CPU integrals + meter totals per server).
-  const sim::SimTime t0 = cluster.sim().now();
-  const std::uint64_t ops0 = cluster.totalOpsCompleted();
-  std::vector<node::Node::PowerSnapshot> snaps;
-  snaps.reserve(static_cast<std::size_t>(cluster.serverCount()));
-  for (int i = 0; i < cluster.serverCount(); ++i) {
-    snaps.push_back(cluster.server(i).node->snapshotPower());
-  }
-
-  cluster.sim().runFor(measure);
-
-  const sim::SimTime t1 = cluster.sim().now();
-  const std::uint64_t ops1 = cluster.totalOpsCompleted();
-  cluster.stopYcsb();
+  SteadyStateWindow w = measureSteadyState(
+      cluster, cfg.warmup, cfg.measure, cfg.timeScale, cfg.metricsDir);
+  const sim::SimTime t1 = w.end;
 
   YcsbExperimentResult r;
-  r.measuredSeconds = sim::toSeconds(t1 - t0);
-  r.opsMeasured = ops1 - ops0;
-  // Guard the degenerate zero-length window (timeScale ~ 0 in quick runs)
-  // instead of propagating inf/nan into every derived metric.
-  r.throughputOpsPerSec =
-      r.measuredSeconds > 0
-          ? static_cast<double>(r.opsMeasured) / r.measuredSeconds
-          : 0;
+  r.measuredSeconds = w.seconds;
+  r.opsMeasured = w.ops;
+  r.throughputOpsPerSec = w.opsPerSec();
+  r.sloWindows = std::move(w.sloWindows);
+  r.sloBreachedWindows = w.sloBreachedWindows;
 
   // Window power from the per-resource model (statics + CPU slope + event
   // dynamics), so NIC/DRAM/disk activity shows up in the watts — not just
@@ -79,7 +58,7 @@ YcsbExperimentResult runYcsbExperiment(const YcsbExperimentConfig& cfg) {
   double cpuMax = 0.0;
   for (int i = 0; i < cluster.serverCount(); ++i) {
     const node::Node& node = *cluster.server(i).node;
-    const auto& snap = snaps[static_cast<std::size_t>(i)];
+    const auto& snap = w.power[static_cast<std::size_t>(i)];
     const double u = node.meanUtilisationSince(snap.cpu, t1);
     cpuSum += u;
     cpuMin = std::min(cpuMin, u);
@@ -147,15 +126,45 @@ YcsbExperimentResult runYcsbExperiment(const YcsbExperimentConfig& cfg) {
   r.txAborts = txCount("cluster.tx.aborts");
   r.txConflicts = txCount("cluster.tx.conflicts");
   r.txOrphansResolved = txCount("cluster.tx.orphans_resolved");
+  return r;
+}
+
+SteadyStateWindow measureSteadyState(Cluster& cluster, sim::Duration warmup,
+                                     sim::Duration measure, double timeScale,
+                                     const std::string& metricsDir) {
+  sim::Simulation& sim = cluster.sim();
+  sim.runFor(static_cast<sim::Duration>(static_cast<double>(warmup) *
+                                        timeScale));
+
+  // Window-start snapshots (op and event counts, CPU integrals and meter
+  // totals per server).
+  SteadyStateWindow w;
+  const sim::SimTime t0 = sim.now();
+  const std::uint64_t ops0 = cluster.totalOpsCompleted();
+  const std::uint64_t ev0 = sim.eventsExecuted();
+  w.power.reserve(static_cast<std::size_t>(cluster.serverCount()));
+  for (int i = 0; i < cluster.serverCount(); ++i) {
+    w.power.push_back(cluster.server(i).node->snapshotPower());
+  }
+
+  sim.runFor(std::max<sim::Duration>(
+      sim::msec(500),
+      static_cast<sim::Duration>(static_cast<double>(measure) * timeScale)));
+
+  w.end = sim.now();
+  w.seconds = sim::toSeconds(w.end - t0);
+  w.ops = cluster.totalOpsCompleted() - ops0;
+  w.events = sim.eventsExecuted() - ev0;
+  cluster.stopYcsb();
+  cluster.stopTraffic();
 
   if (cluster.sloTracker().enabled()) {
     cluster.sloTracker().finish();
-    r.sloWindows = cluster.sloTracker().rows();
-    r.sloBreachedWindows = cluster.sloTracker().breachedWindows();
+    w.sloWindows = cluster.sloTracker().rows();
+    w.sloBreachedWindows = cluster.sloTracker().breachedWindows();
   }
-
-  if (!cfg.metricsDir.empty()) cluster.exportMetrics(cfg.metricsDir);
-  return r;
+  if (!metricsDir.empty()) cluster.exportMetrics(metricsDir);
+  return w;
 }
 
 }  // namespace rc::core

@@ -106,9 +106,9 @@ struct YcsbExperimentResult {
   std::uint64_t opsMeasured = 0;
   std::uint64_t opFailures = 0;
   std::uint64_t rpcTimeouts = 0;
-  /// Client-side RPC re-issues (timeouts, retriable server statuses). With
-  /// exactly-once tracking on, retries of already-applied writes are
-  /// suppressed server-side rather than re-executed.
+  /// Client-side RPC re-issues (timeouts, retriable server statuses).
+  /// Retries of already-applied writes are suppressed server-side (RIFL)
+  /// rather than re-executed.
   std::uint64_t rpcRetries = 0;
   double measuredSeconds = 0;
 
@@ -141,6 +141,31 @@ struct YcsbExperimentResult {
            clusterPowerW;
   }
 };
+
+/// What measureSteadyState saw of its window.
+struct SteadyStateWindow {
+  sim::SimTime end = 0;
+  double seconds = 0;
+  std::uint64_t ops = 0;     ///< client ops completed in the window
+  std::uint64_t events = 0;  ///< simulator events executed in the window
+  /// Every server's power snapshot at the window start.
+  std::vector<node::Node::PowerSnapshot> power;
+  std::vector<obs::SloTracker::WindowRow> sloWindows;
+  std::uint64_t sloBreachedWindows = 0;
+
+  double opsPerSec() const {
+    return seconds > 0 ? static_cast<double>(ops) / seconds : 0;
+  }
+};
+
+/// The steady-state protocol runYcsbExperiment and runOpenLoopExperiment
+/// share, on a cluster whose load is already started: warm up for
+/// warmup × timeScale, measure for max(500 ms, measure × timeScale), stop
+/// every load generator, close the SLO windows and, when `metricsDir` is
+/// set, export the run there. Nothing a driver reads afterwards changes.
+SteadyStateWindow measureSteadyState(Cluster& cluster, sim::Duration warmup,
+                                     sim::Duration measure, double timeScale,
+                                     const std::string& metricsDir);
 
 /// Builds a cluster from the config, loads `workload.recordCount` records,
 /// runs the closed loop and returns windowed metrics.

@@ -1,6 +1,9 @@
 #include "core/openloop.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "core/experiment.hpp"
 
 namespace rc::core {
 
@@ -66,36 +69,19 @@ OpenLoopResult runOpenLoopExperiment(const OpenLoopConfig& cfg) {
   cluster.configureOpenLoop(table, cfg.workload, sources);
   cluster.startTraffic();
 
-  const sim::Duration warmup = static_cast<sim::Duration>(
-      static_cast<double>(cfg.warmup) * cfg.timeScale);
-  const sim::Duration measure = std::max<sim::Duration>(
-      sim::msec(500), static_cast<sim::Duration>(
-                          static_cast<double>(cfg.measure) * cfg.timeScale));
-
-  cluster.sim().runFor(warmup);
-
-  const sim::SimTime t0 = cluster.sim().now();
-  const std::uint64_t ops0 = cluster.totalOpsCompleted();
-  const std::uint64_t ev0 = cluster.sim().eventsExecuted();
-
-  cluster.sim().runFor(measure);
-
-  const sim::SimTime t1 = cluster.sim().now();
-  const std::uint64_t ops1 = cluster.totalOpsCompleted();
-  const std::uint64_t ev1 = cluster.sim().eventsExecuted();
-  cluster.stopTraffic();
+  SteadyStateWindow w = measureSteadyState(
+      cluster, cfg.warmup, cfg.measure, cfg.timeScale, cfg.metricsDir);
 
   OpenLoopResult r;
-  r.measuredSeconds = sim::toSeconds(t1 - t0);
-  r.opsMeasured = ops1 - ops0;
-  r.deliveredOpsPerSec =
-      r.measuredSeconds > 0
-          ? static_cast<double>(r.opsMeasured) / r.measuredSeconds
-          : 0;
-  r.eventsExecuted = ev1 - ev0;
-  r.eventsPerOp = r.opsMeasured > 0 ? static_cast<double>(r.eventsExecuted) /
-                                          static_cast<double>(r.opsMeasured)
-                                    : 0;
+  r.measuredSeconds = w.seconds;
+  r.opsMeasured = w.ops;
+  r.deliveredOpsPerSec = w.opsPerSec();
+  r.eventsExecuted = w.events;
+  r.eventsPerOp = w.ops > 0 ? static_cast<double>(w.events) /
+                                  static_cast<double>(w.ops)
+                            : 0;
+  r.sloWindows = std::move(w.sloWindows);
+  r.sloBreachedWindows = w.sloBreachedWindows;
   r.arrivalsGenerated = cluster.totalArrivalsGenerated();
   r.generatorWakeups = cluster.totalGeneratorWakeups();
   r.sourceDropped = cluster.totalSourceDropped();
@@ -134,14 +120,6 @@ OpenLoopResult runOpenLoopExperiment(const OpenLoopConfig& cfg) {
     r.offeredRatePerSec += row.offeredRatePerSec;
     r.tenants.push_back(std::move(row));
   }
-
-  if (cluster.sloTracker().enabled()) {
-    cluster.sloTracker().finish();
-    r.sloWindows = cluster.sloTracker().rows();
-    r.sloBreachedWindows = cluster.sloTracker().breachedWindows();
-  }
-
-  if (!cfg.metricsDir.empty()) cluster.exportMetrics(cfg.metricsDir);
   return r;
 }
 

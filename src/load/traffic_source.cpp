@@ -4,34 +4,33 @@
 #include <utility>
 
 namespace rc::load {
+namespace {
+
+/// The open loop's per-op settings: no key predicate and no transactions
+/// (the tx variant stays closed-loop, docs/TRANSACTIONS.md).
+ycsb::OpParams opParams(const TrafficSourceParams& p) {
+  ycsb::OpParams o;
+  o.insertKeyBase = p.insertKeyBase;
+  o.tenant = p.tenant;
+  return o;
+}
+
+}  // namespace
 
 TrafficSource::TrafficSource(sim::Simulation& sim,
                              client::RamCloudClient& client,
                              std::uint64_t tableId, ycsb::WorkloadSpec spec,
                              TrafficSourceParams params, sim::Rng rng)
     : sim_(sim),
-      client_(client),
-      tableId_(tableId),
-      spec_(std::move(spec)),
       params_(std::move(params)),
-      rng_(rng),
-      keys_(spec_, rng_.fork(1)),
-      process_(params_.shape, rng_.fork(2)) {}
-
-void TrafficSource::setSloTracker(obs::SloTracker* slo) {
-  slo_ = slo;
-  readClass_ = updateClass_ = -1;
-  if (slo_ == nullptr || params_.tenant.empty()) return;
-  readClass_ = slo_->classId(params_.tenant + "/read");
-  updateClass_ = slo_->classId(params_.tenant + "/update");
-  const int base = readClass_ >= 0 ? readClass_ : updateClass_;
-  if (base >= 0) client_.setTenant(static_cast<std::uint16_t>(base + 1));
-}
+      engine_(sim, client, tableId, std::move(spec), opParams(params_), rng,
+              *this),
+      process_(params_.shape, engine_.rng().fork(2)) {}
 
 void TrafficSource::start() {
   if (running_) return;
   running_ = true;
-  ++generation_;
+  engine_.invalidate();
   cursor_ = sim_.now();
   pending_.clear();
   scheduleWake();
@@ -39,7 +38,7 @@ void TrafficSource::start() {
 
 void TrafficSource::stop() {
   running_ = false;
-  ++generation_;
+  engine_.invalidate();
   pending_.clear();
 }
 
@@ -59,7 +58,7 @@ void TrafficSource::refill() {
 void TrafficSource::scheduleWake() {
   if (!running_) return;
   refill();
-  const std::uint64_t gen = generation_;
+  const std::uint64_t gen = engine_.generation();
   sim::SimTime tw;
   if (pending_.empty()) {
     tw = cursor_;  // long quiet stretch: re-poll at the generation frontier
@@ -69,7 +68,7 @@ void TrafficSource::scheduleWake() {
     if (q > 0) tw = (tw + q - 1) / q * q;  // batch the quantum's arrivals
   }
   sim_.scheduleAt(tw, [this, gen] {
-    if (generation_ != gen) return;
+    if (engine_.generation() != gen) return;
     onWake();
   });
 }
@@ -85,7 +84,7 @@ void TrafficSource::onWake() {
     // Hot-key shifts fire between arrivals, keyed on intent time, so the
     // drawn sequence is independent of issue batching.
     while (nextShift_ < shifts.size() && shifts[nextShift_].at <= intent) {
-      keys_.shiftHotKeys(shifts[nextShift_].shiftSeed);
+      engine_.keys().shiftHotKeys(shifts[nextShift_].shiftSeed);
       ++nextShift_;
       ++hotShiftsApplied_;
     }
@@ -94,117 +93,16 @@ void TrafficSource::onWake() {
   scheduleWake();
 }
 
-TrafficSource::OpKind TrafficSource::pickOp() {
-  double r = rng_.uniformDouble();
-  if (r < spec_.readProportion) return OpKind::kRead;
-  r -= spec_.readProportion;
-  if (r < spec_.updateProportion) return OpKind::kUpdate;
-  r -= spec_.updateProportion;
-  if (r < spec_.insertProportion) return OpKind::kInsert;
-  return OpKind::kReadModifyWrite;
-}
-
-std::uint64_t TrafficSource::pickKey() {
-  const std::uint64_t idx = keys_.next(keyspaceSize());
-  return idx < spec_.recordCount
-             ? idx
-             : params_.insertKeyBase + (idx - spec_.recordCount);
-}
-
 void TrafficSource::issueOp(sim::SimTime intent) {
   if (inFlight_ >= params_.maxInFlight) {
     ++sourceDropped_;
     return;
   }
-  const std::uint64_t gen = generation_;
-  const OpKind op = pickOp();
-  const bool isRead = op == OpKind::kRead;
-  // Per-op tenant tag, as in the closed loop. With many ops in flight the
-  // tag is stamped at issue time (RPCs snapshot it), so flipping is safe.
-  if (slo_ != nullptr) {
-    const int cls = isRead ? readClass_ : updateClass_;
-    if (cls >= 0) client_.setTenant(static_cast<std::uint16_t>(cls + 1));
-  }
-  std::uint64_t key;
-  if (op == OpKind::kInsert) {
-    key = params_.insertKeyBase + insertsIssued_++;
-  } else {
-    key = pickKey();
-  }
-
   ++inFlight_;
-  auto complete = [this, gen, op, isRead, intent](net::Status status,
-                                                  sim::Duration) {
-    if (generation_ != gen) return;
-    if (inFlight_ > 0) --inFlight_;
-    // Intent-to-completion latency: the open-loop tail metric. Includes
-    // any batching-quantum issue delay and all queueing/retries — exactly
-    // what a real user behind this source sees.
-    const sim::Duration latency = sim_.now() - intent;
-    if (status == net::Status::kOk) {
-      if (slo_ != nullptr) {
-        const int cls = isRead ? readClass_ : updateClass_;
-        if (cls >= 0) {
-          const auto& last = client_.lastOp();
-          slo_->record(cls, last.valid ? last.node : -1,
-                       last.valid ? last.span : 0, latency,
-                       last.valid ? &last.detail : nullptr);
-        }
-      }
-      ++stats_.opsCompleted;
-      switch (op) {
-        case OpKind::kRead:
-          ++stats_.reads;
-          stats_.readLatency.add(latency);
-          break;
-        case OpKind::kUpdate:
-          ++stats_.updates;
-          stats_.updateLatency.add(latency);
-          break;
-        case OpKind::kInsert:
-          ++stats_.inserts;
-          ++inserted_;
-          stats_.updateLatency.add(latency);
-          break;
-        case OpKind::kReadModifyWrite:
-          ++stats_.readModifyWrites;
-          stats_.updateLatency.add(latency);
-          break;
-      }
-    } else {
-      ++stats_.failures;
-    }
-    stats_.lastCompletionAt = sim_.now();
-  };
-
-  switch (op) {
-    case OpKind::kRead:
-      client_.read(tableId_, key, std::move(complete));
-      break;
-    case OpKind::kUpdate:
-    case OpKind::kInsert:
-      client_.write(tableId_, key, spec_.valueBytes, std::move(complete));
-      break;
-    case OpKind::kReadModifyWrite:
-      // Unconditioned read-then-write, as the closed loop's non-tx RMW;
-      // the transactional variant stays closed-loop (docs/TRANSACTIONS.md).
-      client_.read(
-          tableId_, key,
-          [this, gen, key, complete = std::move(complete)](
-              net::Status s, sim::Duration) mutable {
-            if (generation_ != gen) return;
-            if (s != net::Status::kOk) {
-              complete(s, 0);
-              return;
-            }
-            client_.write(tableId_, key, spec_.valueBytes,
-                          [complete = std::move(complete)](
-                              net::Status s2, sim::Duration) mutable {
-                            complete(s2, 0);
-                          });
-          });
-      break;
-  }
+  // Intent-to-completion latency: the open-loop tail metric. Includes any
+  // batching-quantum issue delay and all queueing/retries — exactly what a
+  // real user behind this source sees.
+  engine_.issue(intent, intent);
 }
 
 }  // namespace rc::load

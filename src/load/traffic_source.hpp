@@ -9,8 +9,8 @@
 #include "load/arrival.hpp"
 #include "obs/slo_tracker.hpp"
 #include "sim/simulation.hpp"
+#include "ycsb/op_engine.hpp"
 #include "ycsb/workload.hpp"
-#include "ycsb/ycsb_client.hpp"
 
 namespace rc::load {
 
@@ -46,10 +46,12 @@ struct TrafficSourceParams {
 
 /// An open-loop population load generator: one simulated object standing in
 /// for shape.users modeled users. Arrivals are drawn in batches from the
-/// ArrivalProcess and issued through the host's RamCloudClient with no
+/// ArrivalProcess and issued through the shared ycsb::OpEngine with no
 /// regard for completions — latency is measured from arrival *intent*, so
-/// queueing during overload is visible (no coordinated omission).
-class TrafficSource {
+/// queueing during overload is visible (no coordinated omission). It owns
+/// only the pacing: arrival draws, quantum batching, hot-key shifts and the
+/// maxInFlight valve. It runs no transactions.
+class TrafficSource : private ycsb::OpPacer {
  public:
   TrafficSource(sim::Simulation& sim, client::RamCloudClient& client,
                 std::uint64_t tableId, ycsb::WorkloadSpec spec,
@@ -60,10 +62,10 @@ class TrafficSource {
   bool running() const { return running_; }
 
   /// Completed/failed op counts and *intent-time* latency histograms
-  /// (unlike the closed-loop client's RPC-time histograms).
-  const ycsb::YcsbStats& stats() const { return stats_; }
+  /// (the closed loop measures its histograms from issue).
+  const ycsb::YcsbStats& stats() const { return engine_.stats(); }
 
-  void setSloTracker(obs::SloTracker* slo);
+  void setSloTracker(obs::SloTracker* slo) { engine_.setSloTracker(slo); }
 
   /// Fault hook (FaultPlan kLoadSurge): superpose a flash crowd of
   /// `factor` x the current rate for `d` from now.
@@ -81,46 +83,30 @@ class TrafficSource {
   std::uint64_t inFlight() const { return inFlight_; }
 
  private:
-  enum class OpKind { kRead, kUpdate, kInsert, kReadModifyWrite };
-
   void onWake();
   void scheduleWake();
   void refill();
   void issueOp(sim::SimTime intent);
-  OpKind pickOp();
-  std::uint64_t pickKey();
-  std::uint64_t keyspaceSize() const {
-    return spec_.recordCount + inserted_;
+  void opFinished(sim::Duration, bool) override {
+    if (inFlight_ > 0) --inFlight_;
   }
 
   sim::Simulation& sim_;
-  client::RamCloudClient& client_;
-  std::uint64_t tableId_;
-  ycsb::WorkloadSpec spec_;
   TrafficSourceParams params_;
-  sim::Rng rng_;
-  ycsb::KeyChooser keys_;
-  ArrivalProcess process_;
+  ycsb::OpEngine engine_;   ///< keys fork(1) of the source's stream...
+  ArrivalProcess process_;  ///< ...before arrivals fork(2)
 
   bool running_ = false;
-  std::uint64_t generation_ = 0;
   std::deque<sim::SimTime> pending_;  ///< drawn arrivals not yet issued
   std::vector<sim::SimTime> runBuf_;
   sim::SimTime cursor_ = 0;     ///< generation frontier (arrivals drawn <=)
   std::size_t nextShift_ = 0;   ///< next shape.hotKeyShifts entry to apply
 
   std::uint64_t inFlight_ = 0;
-  std::uint64_t inserted_ = 0;       ///< completed inserts (keyspace growth)
-  std::uint64_t insertsIssued_ = 0;  ///< issued inserts (unique key ids)
   std::uint64_t arrivalsGenerated_ = 0;
   std::uint64_t wakeups_ = 0;
   std::uint64_t sourceDropped_ = 0;
   std::uint64_t hotShiftsApplied_ = 0;
-
-  ycsb::YcsbStats stats_;
-  obs::SloTracker* slo_ = nullptr;
-  int readClass_ = -1;
-  int updateClass_ = -1;
 };
 
 }  // namespace rc::load

@@ -90,8 +90,8 @@ struct RpcRequest {
   /// has already abandoned (docs/SLO.md).
   std::uint16_t tenant = 0;
   /// Linearizability header (docs/LINEARIZABILITY.md). clientId == 0 means
-  /// the RPC is untracked (at-least-once, the pre-RIFL behaviour); batched
-  /// and bulk-load paths stay untracked. A retried RPC carries the *same*
+  /// the RPC is untracked, so a retry may execute it again: reads, batched
+  /// and bulk-load paths. A retried RPC carries the *same*
   /// (clientId, rpcSeq), which is what lets the owner suppress duplicates.
   std::uint64_t clientId = 0;
   std::uint64_t rpcSeq = 0;

@@ -12,6 +12,8 @@
 //      bucket rate while the other tenant's p999 stays put.
 //   5. Determinism: same seed + same schedule => bit-identical
 //      metrics.jsonl / slo.jsonl across runs (seeds 101/202/303).
+//   6. Workloads D and F through the open loop: inserts grow the stored
+//      keyspace, and an RMW is one read plus one write at the server.
 
 #include <gtest/gtest.h>
 
@@ -360,6 +362,82 @@ TEST(OpenLoop, LoadSurgeFaultRaisesOpenLoopRate) {
   cluster.stopTraffic();
   // ~0.9 s at 2k/s vs 0.6 s at 8k/s: the surge window generated more.
   EXPECT_GT(during, before);
+}
+
+// The open loop's insert and read-modify-write paths, mirroring the
+// closed-loop YcsbClient tests in tests/ycsb_test.cpp: both generators
+// issue ops through the same ycsb::OpEngine.
+
+/// A 2-server cluster with one source at 1k ops/s run for `run`, then
+/// stepped to an instant with no op in flight, so every op the servers
+/// applied is also counted in the source's stats.
+const load::TrafficSource& runOneSourceUntilIdle(core::Cluster& c,
+                                                 std::uint64_t table,
+                                                 const ycsb::WorkloadSpec& spec,
+                                                 sim::Duration run) {
+  c.bulkLoad(table, spec.recordCount, spec.valueBytes);
+  load::TrafficSourceParams p;
+  p.shape.users = 1'000;
+  c.configureOpenLoop(table, spec, {p});
+  c.startTraffic();
+  c.sim().runFor(run);
+  const load::TrafficSource& src = *c.clientHost(0).traffic;
+  for (int step = 0; step < 100'000 && src.inFlight() > 0; ++step) {
+    c.sim().runFor(usec(1));
+  }
+  EXPECT_EQ(src.inFlight(), 0u);
+  return src;
+}
+
+core::ClusterParams twoServers() {
+  core::ClusterParams p;
+  p.servers = 2;
+  p.clients = 1;
+  return p;
+}
+
+TEST(OpenLoop, WorkloadDInsertsGrowKeyspace) {
+  core::Cluster c(twoServers());
+  const auto table = c.createTable("t");
+  const auto& st =
+      runOneSourceUntilIdle(c, table, ycsb::WorkloadSpec::D(2'000), seconds(3))
+          .stats();
+  ASSERT_GT(st.opsCompleted, 2'000u);
+  EXPECT_NEAR(static_cast<double>(st.inserts) /
+                  static_cast<double>(st.opsCompleted),
+              0.05, 0.02);
+  EXPECT_EQ(st.failures, 0u);
+  // Inserted keys are really stored (beyond the preloaded id range).
+  std::uint64_t beyond = 0;
+  for (int i = 0; i < c.serverCount(); ++i) {
+    c.server(i).master->objectMap().forEach(
+        [&](const hash::Key& k, const hash::ObjectLocation&) {
+          if (k.keyId >= 2'000) ++beyond;
+        });
+  }
+  EXPECT_EQ(beyond, st.inserts);
+}
+
+TEST(OpenLoop, WorkloadFReadModifyWrites) {
+  core::Cluster c(twoServers());
+  const auto table = c.createTable("t");
+  const auto& st =
+      runOneSourceUntilIdle(c, table, ycsb::WorkloadSpec::F(1'000), seconds(2))
+          .stats();
+  ASSERT_GT(st.opsCompleted, 1'000u);
+  EXPECT_NEAR(static_cast<double>(st.readModifyWrites) /
+                  static_cast<double>(st.opsCompleted),
+              0.5, 0.05);
+  EXPECT_EQ(st.failures, 0u);
+  // An RMW is a read followed by a write at the server.
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  for (int i = 0; i < c.serverCount(); ++i) {
+    reads += c.server(i).master->stats().reads;
+    writes += c.server(i).master->stats().writes;
+  }
+  EXPECT_EQ(reads, st.reads + st.readModifyWrites);
+  EXPECT_EQ(writes, st.readModifyWrites);
 }
 
 // ----------------------------------------------------- per-tenant QoS stage

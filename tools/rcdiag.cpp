@@ -17,8 +17,13 @@
 //   qos       per-tenant dispatch token-bucket summary: offered/admitted/
 //             throttled/episodes per tenant and per throttling node
 //             (docs/WORKLOADS.md)
-//   check     schema validation; exits non-zero on any violation (CI smoke)
-//   report    timeline + critical + phases + tx + overload + qos (default)
+//   check     schema validation of events/metrics and, when present, slo
+//             and flight exports; exits non-zero on any violation
+//   report    timeline + critical + phases + tx + overload + qos (default);
+//             a run without journal spans gets only overload + qos
+//
+// Only the span views (timeline, critical, phases, tx) need spans; a run
+// directory needs spans or metric records to be read at all.
 //
 // Span semantics and the energy-attribution method are documented in
 // docs/TRACING.md.
@@ -28,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
@@ -79,16 +85,12 @@ std::size_t warnMalformed(const std::string& path, std::size_t n) {
   return n;
 }
 
+/// Both files are optional (a run without recoveries or faults journals no
+/// spans; PDU-less energy columns degrade gracefully), but not both empty.
 bool loadRun(const std::string& dir, RunData* out) {
   std::size_t bad = 0;
   out->spans = EventJournal::readJsonl(dir + "/events.jsonl", &bad);
   out->malformed = warnMalformed(dir + "/events.jsonl", bad);
-  if (out->spans.empty()) {
-    std::fprintf(stderr, "rcdiag: no spans in %s/events.jsonl\n", dir.c_str());
-    return false;
-  }
-
-  // PDU series are optional (energy columns degrade gracefully).
   out->metrics = MetricsExporter::readJsonl(dir + "/metrics.jsonl", &bad);
   out->malformed += warnMalformed(dir + "/metrics.jsonl", bad);
   for (const auto& rec : out->metrics) {
@@ -100,6 +102,11 @@ bool loadRun(const std::string& dir, RunData* out) {
   }
   for (auto& [node, samples] : out->pdu) {
     std::sort(samples.begin(), samples.end());
+  }
+  if (out->spans.empty() && out->metrics.empty()) {
+    std::fprintf(stderr, "rcdiag: no spans or metric records in %s\n",
+                 dir.c_str());
+    return false;
   }
   return true;
 }
@@ -1056,21 +1063,42 @@ int checkRun(const std::string& dir) {
     }
   }
 
-  // Both files must parse (loadRun reported the lines that did not).
+  // Every file must parse (loadRun reported the lines that did not) and
+  // hold only the record types its writer emits.
   violations += static_cast<int>(run.malformed);
-  for (const auto& rec : run.metrics) {
-    if (rec.type != "counter" && rec.type != "gauge" &&
-        rec.type != "histogram" && rec.type != "point" &&
-        rec.type != "trace") {
-      std::fprintf(stderr, "check: unknown record type '%s' in metrics.jsonl\n",
-                   rec.type.c_str());
-      ++violations;
+  auto known = [&violations](const char* file, const std::string& type,
+                             std::initializer_list<const char*> types) {
+    for (const char* t : types) {
+      if (type == t) return;
     }
+    std::fprintf(stderr, "check: unknown record type '%s' in %s\n",
+                 type.c_str(), file);
+    ++violations;
+  };
+  for (const auto& rec : run.metrics) {
+    known("metrics.jsonl", rec.type,
+          {"counter", "gauge", "histogram", "point", "trace"});
   }
+  // slo.jsonl and flight.jsonl exist only for runs with SLO classes and a
+  // triggered flight recorder.
+  std::size_t optionalRecords = 0;
+  auto checkOptional = [&](const char* file,
+                           std::initializer_list<const char*> types) {
+    const std::string path = dir + "/" + file;
+    const auto bad = jsonl::readFile(path, [&](const jsonl::Record& r) {
+      ++optionalRecords;
+      known(file, r.type(), types);
+    });
+    if (bad) violations += static_cast<int>(warnMalformed(path, *bad));
+  };
+  checkOptional("slo.jsonl",
+                {"slo_window", "slo_node", "exemplar", "exemplar_stage"});
+  checkOptional("flight.jsonl", {"flight_trigger", "flight"});
 
   if (violations == 0) {
-    std::printf("check: OK (%zu spans, %zu metric records)\n",
-                run.spans.size(), run.metrics.size());
+    std::printf("check: OK (%zu spans, %zu metric records, %zu slo/flight "
+                "records)\n",
+                run.spans.size(), run.metrics.size(), optionalRecords);
     return 0;
   }
   std::fprintf(stderr, "check: %d violation(s)\n", violations);
@@ -1085,7 +1113,9 @@ void usage() {
       "report] DIR\n"
       "  rcdiag energy check DIR\n"
       "\n"
-      "DIR is a --metrics-dir run directory (events.jsonl [+ metrics.jsonl]).\n"
+      "DIR is a --metrics-dir run directory (events.jsonl and/or\n"
+      "metrics.jsonl); timeline, critical, phases and tx need spans.\n"
+      "check also validates slo.jsonl and flight.jsonl when present.\n"
       "slo reads DIR/slo.jsonl (runs with declared SLO classes).\n"
       "energy reads DIR/energy.jsonl: per-node component decomposition,\n"
       "per-op-class and per-tenant attribution, stacked watts timelines and\n"
@@ -1096,7 +1126,7 @@ void usage() {
       "qos summarizes per-tenant dispatch token buckets: offered vs\n"
       "admitted vs throttled plus throttle episodes (docs/WORKLOADS.md).\n"
       "Default command is report (timeline + critical + phases + tx +\n"
-      "overload + qos).\n");
+      "overload + qos; only overload + qos for a run without spans).\n");
 }
 
 }  // namespace
@@ -1122,6 +1152,12 @@ int main(int argc, char** argv) {
 
   RunData run;
   if (!loadRun(dir, &run)) return 1;
+  const bool spanView =
+      cmd == "timeline" || cmd == "critical" || cmd == "phases" || cmd == "tx";
+  if (spanView && run.spans.empty()) {
+    std::fprintf(stderr, "rcdiag: no spans in %s/events.jsonl\n", dir.c_str());
+    return 1;
+  }
   if (cmd == "timeline") {
     printTimeline(run);
   } else if (cmd == "critical") {
@@ -1135,10 +1171,12 @@ int main(int argc, char** argv) {
   } else if (cmd == "qos") {
     printTenantQos(run);
   } else if (cmd == "report") {
-    printTimeline(run);
-    printCriticalPath(run);
-    printPhases(run);
-    printTxSummary(run);
+    if (!run.spans.empty()) {
+      printTimeline(run);
+      printCriticalPath(run);
+      printPhases(run);
+      printTxSummary(run);
+    }
     printOverload(run);
     printTenantQos(run);
   } else {
