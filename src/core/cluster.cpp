@@ -1,6 +1,7 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <fstream>
 
@@ -551,15 +552,48 @@ std::uint64_t Cluster::createTable(const std::string& name, int serverSpan) {
   return coord_->createTable(name, span);
 }
 
+template <class Visit>
+bool Cluster::walkKeys(std::uint64_t tableId, std::uint64_t records,
+                       Visit visit) const {
+  constexpr std::uint64_t kAhead = 16;
+  std::array<server::MasterService*, kAhead> ahead{};
+  auto resolve = [&](std::uint64_t key) {
+    const server::ServerId owner = ownerOfKey(tableId, key);
+    server::MasterService* m =
+        owner == node::kInvalidNode ? nullptr : directory_.masterOn(owner);
+    if (m != nullptr) m->objectMap().prefetch(hash::Key{tableId, key});
+    ahead[key % kAhead] = m;
+  };
+  for (std::uint64_t key = 0; key < std::min(kAhead, records); ++key) {
+    resolve(key);
+  }
+  for (std::uint64_t key = 0; key < records; ++key) {
+    server::MasterService* m = ahead[key % kAhead];
+    if (key + kAhead < records) resolve(key + kAhead);
+    if (!visit(key, m)) return false;
+  }
+  return true;
+}
+
 void Cluster::bulkLoad(std::uint64_t tableId, std::uint64_t records,
                        std::uint32_t valueBytes) {
+  // Size each owner's index once for its share, so no insert rehashes and
+  // the slots prefetched ahead stay where they are.
+  std::vector<std::size_t> share(static_cast<std::size_t>(serverCount()) + 1);
   for (std::uint64_t key = 0; key < records; ++key) {
     const server::ServerId owner = ownerOfKey(tableId, key);
-    if (owner == node::kInvalidNode) continue;
-    if (auto* m = directory_.masterOn(owner)) {
-      m->bulkInsert(tableId, key, valueBytes, sim_.now());
+    if (owner > 0 && owner < static_cast<int>(share.size())) {
+      ++share[static_cast<std::size_t>(owner)];
     }
   }
+  for (std::size_t owner = 1; owner < share.size(); ++owner) {
+    auto* m = directory_.masterOn(static_cast<node::NodeId>(owner));
+    if (m != nullptr && share[owner] > 0) m->reserveObjects(share[owner]);
+  }
+  walkKeys(tableId, records, [&](std::uint64_t key, server::MasterService* m) {
+    if (m != nullptr) m->bulkInsert(tableId, key, valueBytes, sim_.now());
+    return true;
+  });
   for (auto& s : servers_) {
     if (s.node->processRunning()) s.master->installReplicasAfterBulkLoad();
   }
@@ -895,17 +929,16 @@ server::ServerId Cluster::ownerOfKey(std::uint64_t tableId,
 bool Cluster::verifyAllKeysPresent(std::uint64_t tableId,
                                    std::uint64_t records,
                                    std::uint64_t* firstMissing) const {
-  for (std::uint64_t key = 0; key < records; ++key) {
-    const server::ServerId owner = ownerOfKey(tableId, key);
-    server::MasterService* m =
-        owner == node::kInvalidNode ? nullptr : directory_.masterOn(owner);
-    if (m == nullptr ||
-        m->objectMap().get(hash::Key{tableId, key}) == nullptr) {
-      if (firstMissing != nullptr) *firstMissing = key;
-      return false;
-    }
-  }
-  return true;
+  return walkKeys(tableId, records,
+                  [&](std::uint64_t key, const server::MasterService* m) {
+                    if (m != nullptr &&
+                        m->objectMap().get(hash::Key{tableId, key}) !=
+                            nullptr) {
+                      return true;
+                    }
+                    if (firstMissing != nullptr) *firstMissing = key;
+                    return false;
+                  });
 }
 
 }  // namespace rc::core

@@ -248,6 +248,14 @@ class Cluster {
                               std::uint64_t keyId) const;
 
  private:
+  /// Calls `visit(key, master)` for keys [0, records) of `tableId` in
+  /// order, `master` being the key's running owner or nullptr. Owners are
+  /// resolved 16 keys early and their index slot prefetched, so the index
+  /// misses of consecutive keys overlap. Returns false at the first
+  /// `visit` that does.
+  template <class Visit>
+  bool walkKeys(std::uint64_t tableId, std::uint64_t records,
+                Visit visit) const;
   void registerClusterMetrics();
   void installEnergyCharge();
   bool writeEnergyJsonl(const std::string& path) const;

@@ -1,7 +1,9 @@
 #include "hash/object_map.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 namespace rc::hash {
 
@@ -15,64 +17,64 @@ std::uint64_t keyHash(const Key& k) {
   return mix(mix(k.tableId) ^ (k.keyId + 0x632be59bd9b4e019ULL));
 }
 
-ObjectMap::ObjectMap(std::size_t initialBuckets) {
-  slots_.resize(std::bit_ceil(std::max<std::size_t>(initialBuckets, 8)));
+namespace {
+
+/// Load-factor bound: `n` objects fit in `buckets` slots.
+bool fits(std::size_t n, std::size_t buckets) {
+  return static_cast<double>(n) <= 0.7 * static_cast<double>(buckets);
 }
 
-std::size_t ObjectMap::probe(const Key& k, bool forInsert) const {
+}  // namespace
+
+ObjectMap::ObjectMap(std::size_t initialBuckets)
+    : slots_(std::bit_ceil(std::max<std::size_t>(initialBuckets, 8))) {}
+
+std::size_t ObjectMap::home(const Key& k) const {
+  return static_cast<std::size_t>(keyHash(k)) & (slots_.size() - 1);
+}
+
+std::size_t ObjectMap::find(const Key& k) const {
+  // The load bound keeps an empty slot in every probe run.
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(keyHash(k)) & mask;
-  std::size_t firstTombstone = slots_.size();  // sentinel: none seen
-  for (std::size_t step = 0; step < slots_.size(); ++step) {
-    const Slot& s = slots_[i];
-    if (s.state == SlotState::kEmpty) {
-      if (forInsert && firstTombstone != slots_.size()) return firstTombstone;
-      return i;
-    }
-    if (s.state == SlotState::kTombstone) {
-      if (forInsert && firstTombstone == slots_.size()) firstTombstone = i;
-    } else if (s.key == k) {
-      return i;
-    }
+  std::size_t i = home(k);
+  while (slots_[i].loc.ref.valid() && !(slots_[i].key == k)) {
     i = (i + 1) & mask;
   }
-  // Table full of used+tombstone slots; growth policy prevents this.
-  assert(firstTombstone != slots_.size());
-  return firstTombstone;
+  return i;
 }
 
-void ObjectMap::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.clear();
-  slots_.resize(old.size() * 2);
-  size_ = 0;
-  tombstones_ = 0;
+void ObjectMap::rehash(std::size_t buckets) {
+  const std::vector<Slot> old =
+      std::exchange(slots_, std::vector<Slot>(buckets));
   for (const Slot& s : old) {
-    if (s.state == SlotState::kUsed) put(s.key, s.loc);
+    if (s.loc.ref.valid()) slots_[find(s.key)] = s;
   }
 }
 
-bool ObjectMap::put(const Key& k, const ObjectLocation& loc) {
-  if (static_cast<double>(size_ + tombstones_ + 1) >
-      0.7 * static_cast<double>(slots_.size())) {
-    grow();
+void ObjectMap::reserve(std::size_t n) {
+  std::size_t buckets = slots_.size();
+  while (!fits(n, buckets)) buckets *= 2;
+  if (buckets != slots_.size()) rehash(buckets);
+}
+
+bool ObjectMap::put(const Key& k, const ObjectLocation& loc,
+                    ObjectLocation* prev) {
+  assert(loc.ref.valid());
+  if (!fits(size_ + 1, slots_.size())) rehash(slots_.size() * 2);
+  Slot& s = slots_[find(k)];
+  if (s.loc.ref.valid()) {
+    if (prev != nullptr) *prev = s.loc;
+    s.loc = loc;
+    return false;
   }
-  const std::size_t i = probe(k, /*forInsert=*/true);
-  Slot& s = slots_[i];
-  const bool fresh = s.state != SlotState::kUsed || !(s.key == k);
-  if (s.state == SlotState::kTombstone) --tombstones_;
-  if (fresh) ++size_;
-  s.state = SlotState::kUsed;
-  s.key = k;
-  s.loc = loc;
-  return fresh;
+  s = Slot{k, loc};
+  ++size_;
+  return true;
 }
 
 const ObjectLocation* ObjectMap::get(const Key& k) const {
-  const std::size_t i = probe(k, /*forInsert=*/false);
-  const Slot& s = slots_[i];
-  if (s.state == SlotState::kUsed && s.key == k) return &s.loc;
-  return nullptr;
+  const Slot& s = slots_[find(k)];
+  return s.loc.ref.valid() ? &s.loc : nullptr;
 }
 
 ObjectLocation* ObjectMap::getMutable(const Key& k) {
@@ -81,21 +83,31 @@ ObjectLocation* ObjectMap::getMutable(const Key& k) {
 }
 
 bool ObjectMap::erase(const Key& k) {
-  const std::size_t i = probe(k, /*forInsert=*/false);
-  Slot& s = slots_[i];
-  if (s.state == SlotState::kUsed && s.key == k) {
-    s.state = SlotState::kTombstone;
-    --size_;
-    ++tombstones_;
-    return true;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = find(k);
+  if (!slots_[hole].loc.ref.valid()) return false;
+  // Backward-shift deletion: walk the rest of the run and move each entry
+  // whose home lies cyclically at or before the hole into it.
+  for (std::size_t j = (hole + 1) & mask; slots_[j].loc.ref.valid();
+       j = (j + 1) & mask) {
+    if (((j - home(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
   }
-  return false;
+  slots_[hole] = Slot{};
+  --size_;
+  return true;
+}
+
+void ObjectMap::prefetch(const Key& k) const {
+  __builtin_prefetch(&slots_[home(k)]);
 }
 
 void ObjectMap::forEach(
     const std::function<void(const Key&, const ObjectLocation&)>& fn) const {
   for (const Slot& s : slots_) {
-    if (s.state == SlotState::kUsed) fn(s.key, s.loc);
+    if (s.loc.ref.valid()) fn(s.key, s.loc);
   }
 }
 

@@ -29,16 +29,25 @@ struct ObjectLocation {
 
 /// Open-addressing hash table from Key to ObjectLocation.
 ///
-/// Linear probing with backshift-free tombstones and amortised growth at
-/// load factor 0.7 — modelled on RAMCloud's in-DRAM index (their real table
-/// stores 47-bit log references in cache-line buckets; the semantics that
-/// matter here are identical).
+/// Linear probing over 40-byte {key, location} slots; a slot is empty when
+/// its log reference is invalid, so there is no state byte and no
+/// tombstone: erase shifts the rest of the probe run back. The home slot
+/// comes from the low hash bits (the high bits pick tablets) and the table
+/// doubles past load factor 0.7. Like RAMCloud's in-DRAM index it is sized
+/// up front when the object count is known (`reserve`), and every
+/// find-and-modify probes it once.
 class ObjectMap {
  public:
   explicit ObjectMap(std::size_t initialBuckets = 64);
 
-  /// Insert or overwrite. Returns true if the key was newly inserted.
-  bool put(const Key& k, const ObjectLocation& loc);
+  /// Grows once to the capacity that `n` distinct puts would reach by
+  /// doubling, so `n` objects then fit without a rehash. Never shrinks.
+  void reserve(std::size_t n);
+
+  /// Insert or overwrite; `loc.ref` must be valid. Returns true if the key
+  /// was newly inserted; on overwrite the old location goes to `prev`.
+  bool put(const Key& k, const ObjectLocation& loc,
+           ObjectLocation* prev = nullptr);
 
   /// nullptr if absent.
   const ObjectLocation* get(const Key& k) const;
@@ -47,14 +56,15 @@ class ObjectMap {
   /// Returns true if the key was present.
   bool erase(const Key& k);
 
+  /// Hints the cache to fetch `k`'s home slot; bulk loops issue it a few
+  /// keys ahead so their DRAM misses overlap.
+  void prefetch(const Key& k) const;
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t bucketCount() const { return slots_.size(); }
   double loadFactor() const {
-    return slots_.empty()
-               ? 0.0
-               : static_cast<double>(size_ + tombstones_) /
-                     static_cast<double>(slots_.size());
+    return static_cast<double>(size_) / static_cast<double>(slots_.size());
   }
 
   /// Visit every live entry (order unspecified).
@@ -62,19 +72,18 @@ class ObjectMap {
                    fn) const;
 
  private:
-  enum class SlotState : std::uint8_t { kEmpty, kUsed, kTombstone };
   struct Slot {
-    SlotState state = SlotState::kEmpty;
     Key key;
-    ObjectLocation loc;
+    ObjectLocation loc;  // !loc.ref.valid() marks an empty slot
   };
 
-  void grow();
-  std::size_t probe(const Key& k, bool forInsert) const;
+  std::size_t home(const Key& k) const;
+  /// Index of `k`'s slot, or of the empty slot that ends its probe run.
+  std::size_t find(const Key& k) const;
+  void rehash(std::size_t buckets);
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
-  std::size_t tombstones_ = 0;
 };
 
 }  // namespace rc::hash

@@ -280,7 +280,9 @@ MasterService::ApplyResult MasterService::applyObject(std::uint64_t tableId,
                                                       std::uint32_t sizeBytes,
                                                       log::EntryType type) {
   const hash::Key k{tableId, keyId};
-  const hash::ObjectLocation* old = map_.get(k);
+  // The append below neither inserts nor erases index entries, so `old`
+  // stays valid across it and the overwrite needs no second probe.
+  hash::ObjectLocation* old = map_.getMutable(k);
   const bool tombstone = type == log::EntryType::kTombstone;
   log::LogEntry e;
   e.tableId = tableId;
@@ -291,10 +293,13 @@ MasterService::ApplyResult MasterService::applyObject(std::uint64_t tableId,
   if (tombstone) e.refSegment = old->ref.segment;
   const log::LogRef ref = log_.append(e, node_.sim().now());
   if (old != nullptr) log_.markDead(old->ref);
+  const hash::ObjectLocation loc{ref, e.version, e.sizeBytes};
   if (tombstone) {
     map_.erase(k);
+  } else if (old != nullptr) {
+    *old = loc;
   } else {
-    map_.put(k, hash::ObjectLocation{ref, e.version, e.sizeBytes});
+    map_.put(k, loc);
   }
   return ApplyResult{ref, e.version, e.sizeBytes};
 }
@@ -1179,6 +1184,11 @@ void MasterService::onMigrationData(const net::RpcRequest& req,
           node_.cpu().releaseWorker(w);
           return;
         }
+        map_.reserve(map_.size() +
+                     static_cast<std::size_t>(std::count_if(
+                         batch.begin(), batch.end(), [](const auto& e) {
+                           return e.type == log::EntryType::kObject;
+                         })));
         std::uint64_t bytes = 0;
         log::SegmentId lastSeg = log::kInvalidSegment;
         for (const log::LogEntry& e : batch) {
@@ -1295,9 +1305,11 @@ void MasterService::bulkInsert(std::uint64_t tableId, std::uint64_t keyId,
   e.sizeBytes = valueBytes + params_.objectOverheadBytes;
   e.version = log_.nextVersion();
   const log::LogRef ref = log_.append(e, now);
-  const hash::Key k{tableId, keyId};
-  if (const auto* old = map_.get(k)) log_.markDead(old->ref);
-  map_.put(k, hash::ObjectLocation{ref, e.version, e.sizeBytes});
+  hash::ObjectLocation old;
+  if (!map_.put(hash::Key{tableId, keyId},
+                hash::ObjectLocation{ref, e.version, e.sizeBytes}, &old)) {
+    log_.markDead(old.ref);
+  }
   bulkMode_ = false;
 }
 

@@ -156,6 +156,10 @@ class MasterService : public net::RpcService {
   void bulkInsert(std::uint64_t tableId, std::uint64_t keyId,
                   std::uint32_t valueBytes, sim::SimTime now);
 
+  /// Sizes the index once for `more` objects beyond those it holds, so a
+  /// bulk load of that many keys never rehashes.
+  void reserveObjects(std::size_t more) { map_.reserve(map_.size() + more); }
+
   /// Install backup frames (sealed segments flushed to disk, open head
   /// buffered) matching the replica placements chosen during bulk load.
   void installReplicasAfterBulkLoad();

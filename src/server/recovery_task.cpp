@@ -389,6 +389,11 @@ void RecoveryTask::commit() {
   for (const auto& [id, seg] : sideLog_->segments()) adopted.push_back(seg);
   for (auto& seg : adopted) master_.log().adopt(seg);
 
+  master_.map_.reserve(
+      master_.map_.size() +
+      static_cast<std::size_t>(std::count_if(
+          staging_.begin(), staging_.end(),
+          [](const auto& kv) { return !kv.second.tombstone; })));
   for (const auto& [key, st] : staging_) {
     if (st.tombstone) {
       master_.map_.erase(key);

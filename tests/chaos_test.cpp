@@ -25,6 +25,7 @@
 #include "fault/fault_injector.hpp"
 #include "obs/metrics_exporter.hpp"
 #include "server/master_service.hpp"
+#include "test_dirs.hpp"
 
 namespace rc {
 namespace {
@@ -914,7 +915,7 @@ TEST(ChaosTx, ParticipantCrashMidCommitResolvesOrphan) {
 
   // The export must show the resolution: the orphan resolved and committed
   // by the coordinator, and not one lock left after quiesce.
-  const std::string dir = ::testing::TempDir() + "chaos_tx";
+  const std::string dir = test::tempPath("chaos_tx");
   ASSERT_TRUE(c.exportMetrics(dir));
   const std::string metrics = dir + "/metrics.jsonl";
   EXPECT_GE(exportedValue(metrics, "cluster.tx.orphans_resolved"), 1.0);
@@ -924,8 +925,8 @@ TEST(ChaosTx, ParticipantCrashMidCommitResolvesOrphan) {
 }
 
 TEST(Chaos, SameSeedSamePlanIsBitIdentical) {
-  const std::string dirA = ::testing::TempDir() + "chaos_replay_a";
-  const std::string dirB = ::testing::TempDir() + "chaos_replay_b";
+  const std::string dirA = test::tempPath("chaos_replay_a");
+  const std::string dirB = test::tempPath("chaos_replay_b");
   const auto a = runChaos(777, dirA);
   const auto b = runChaos(777, dirB);
   expectInvariants(a);

@@ -19,6 +19,7 @@
 #include "power/energy_ledger.hpp"
 #include "ycsb/workload.hpp"
 #include "ycsb/ycsb_client.hpp"
+#include "test_dirs.hpp"
 
 namespace rc {
 namespace {
@@ -115,7 +116,7 @@ TEST(EnergyE2E, MeteringOffLeavesCellsEmptyAndTimingUnchanged) {
 }
 
 TEST(EnergyE2E, ExportedNodeRowsReconcileWithPduWithinTenthOfPercent) {
-  const std::string dir = ::testing::TempDir() + "energy_reconcile";
+  const std::string dir = test::tempPath("energy_reconcile");
   std::filesystem::remove_all(dir);
   auto c = runWorkload(42);
   ASSERT_TRUE(c->exportMetrics(dir));
@@ -151,7 +152,7 @@ TEST(EnergyE2E, TenantClassNamesRoundTripThroughEnergyJsonl) {
   // its line short: every line parses and names the declared classes.
   for (const std::string& tenant :
        {std::string("q\"uo\\te"), std::string(300, 'n')}) {
-    const std::string dir = ::testing::TempDir() + "energy_names";
+    const std::string dir = test::tempPath("energy_names");
     std::filesystem::remove_all(dir);
     auto c = runWorkload(42, /*metering=*/true, tenant);
     ASSERT_TRUE(c->exportMetrics(dir));
@@ -175,7 +176,7 @@ TEST(EnergyE2E, EnergyJsonlIsByteIdenticalAcrossRepeatedRuns) {
   for (const std::uint64_t seed : {101ull, 202ull, 303ull}) {
     std::string first;
     for (int rep = 0; rep < 2; ++rep) {
-      const std::string dir = ::testing::TempDir() + "energy_det_" +
+      const std::string dir = test::tempPath("energy_det_") +
                               std::to_string(seed) + "_" +
                               std::to_string(rep);
       std::filesystem::remove_all(dir);

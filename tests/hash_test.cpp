@@ -113,6 +113,128 @@ TEST(ObjectMap, ForEachVisitsAllLiveEntries) {
   EXPECT_FALSE(saw50);
 }
 
+struct OracleHash {
+  std::size_t operator()(const Key& k) const {
+    return static_cast<std::size_t>(keyHash(k));
+  }
+};
+using Oracle = std::unordered_map<Key, std::uint64_t, OracleHash>;
+
+TEST(ObjectMap, ReserveMatchesCapacityOfSequentialPuts) {
+  for (std::size_t initial : {std::size_t{8}, std::size_t{64}}) {
+    for (std::size_t n : {0, 1, 5, 44, 45, 46, 89, 90, 1000, 12345}) {
+      ObjectMap grown(initial);
+      for (std::uint64_t k = 0; k < n; ++k) grown.put({1, k}, loc(1, 0, k));
+      ObjectMap reserved(initial);
+      reserved.reserve(n);
+      EXPECT_EQ(reserved.bucketCount(), grown.bucketCount())
+          << "initial " << initial << " n " << n;
+      for (std::uint64_t k = 0; k < n; ++k) {
+        reserved.put({1, k}, loc(1, 0, k));
+      }
+      EXPECT_EQ(reserved.bucketCount(), grown.bucketCount()) << n;
+      EXPECT_EQ(reserved.size(), n);
+    }
+  }
+}
+
+TEST(ObjectMap, ReserveNeverShrinks) {
+  ObjectMap m;
+  m.reserve(1000);
+  const std::size_t buckets = m.bucketCount();
+  m.reserve(10);
+  EXPECT_EQ(m.bucketCount(), buckets);
+}
+
+TEST(ObjectMap, PutReportsPreviousLocationOnOverwrite) {
+  ObjectMap m;
+  const ObjectLocation untouched = loc(77, 77, 77);
+  ObjectLocation prev = untouched;
+  EXPECT_TRUE(m.put({1, 10}, loc(1, 2, 3), &prev));
+  EXPECT_EQ(prev.ref, untouched.ref);
+  EXPECT_EQ(prev.version, untouched.version);
+  EXPECT_FALSE(m.put({1, 10}, loc(4, 5, 6), &prev));
+  EXPECT_EQ(prev.ref, (log::LogRef{1, 2}));
+  EXPECT_EQ(prev.version, 3u);
+  EXPECT_EQ(m.get({1, 10})->version, 6u);
+}
+
+TEST(ObjectMap, PrefetchOnEmptyAndFullTable) {
+  ObjectMap m;
+  m.prefetch({1, 1});
+  const std::uint64_t n = 44;  // the most 64 slots hold under load 0.7
+  for (std::uint64_t k = 0; k < n; ++k) m.put({1, k}, loc(1, 0, k));
+  EXPECT_EQ(m.bucketCount(), 64u);
+  for (std::uint64_t k = 0; k < 2 * n; ++k) m.prefetch({1, k});
+  EXPECT_EQ(m.size(), n);
+  EXPECT_EQ(m.bucketCount(), 64u);
+  for (std::uint64_t k = 0; k < n; ++k) ASSERT_NE(m.get({1, k}), nullptr);
+}
+
+// Backward-shift deletion: an erase-heavy stream over keys whose home
+// slots are the last few of a 64-slot table, so every probe run wraps past
+// the table end, checked against std::unordered_map after every step.
+TEST(ObjectMap, EraseHeavyWrappingClustersAgreeWithOracle) {
+  ObjectMap m;
+  ASSERT_EQ(m.bucketCount(), 64u);
+  std::vector<Key> keys;
+  for (std::uint64_t k = 0; keys.size() < 40; ++k) {
+    if ((keyHash({1, k}) & 63) >= 58) keys.push_back({1, k});
+  }
+  Oracle oracle;
+  sim::Rng rng(7);
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    const Key& k = keys[rng.uniformInt(keys.size())];
+    if (rng.uniformInt(2) == 0) {
+      ASSERT_EQ(m.erase(k), oracle.erase(k) > 0) << i;
+    } else {
+      m.put(k, loc(1, 0, i));
+      oracle[k] = i;
+    }
+    ASSERT_EQ(m.size(), oracle.size()) << i;
+    for (const Key& q : keys) {
+      const auto* got = m.get(q);
+      const auto it = oracle.find(q);
+      ASSERT_EQ(got != nullptr, it != oracle.end()) << i;
+      if (got != nullptr) {
+        ASSERT_EQ(got->version, it->second) << i;
+      }
+    }
+  }
+  EXPECT_EQ(m.bucketCount(), 64u);  // 40 keys never pass load 0.7
+  std::size_t visited = 0;
+  m.forEach([&](const Key& k, const ObjectLocation& l) {
+    ++visited;
+    EXPECT_EQ(l.version, oracle.at(k));
+  });
+  EXPECT_EQ(visited, oracle.size());
+}
+
+TEST(ObjectMap, EraseHeavyStreamAgreesWithOracle) {
+  ObjectMap m(8);
+  Oracle oracle;
+  sim::Rng rng(11);
+  for (std::uint64_t i = 0; i < 60000; ++i) {
+    const Key k{1, rng.uniformInt(3000)};
+    if (rng.uniformInt(5) < 3) {
+      ASSERT_EQ(m.erase(k), oracle.erase(k) > 0) << i;
+    } else {
+      m.put(k, loc(1, 0, i));
+      oracle[k] = i;
+    }
+  }
+  ASSERT_EQ(m.size(), oracle.size());
+  EXPECT_LE(m.loadFactor(), 0.7 + 1e-9);
+  for (std::uint64_t key = 0; key < 3000; ++key) {
+    const auto* got = m.get({1, key});
+    const auto it = oracle.find({1, key});
+    ASSERT_EQ(got != nullptr, it != oracle.end()) << key;
+    if (got != nullptr) {
+      ASSERT_EQ(got->version, it->second);
+    }
+  }
+}
+
 // ---- Property: random op stream agrees with std::unordered_map oracle.
 // All fields are 64-bit so the struct has no padding: gtest prints the
 // param's raw bytes into the test name, and padding bytes are indeterminate.

@@ -11,6 +11,7 @@
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
 #include "core/recovery_experiment.hpp"
+#include "test_dirs.hpp"
 
 namespace rc {
 namespace {
@@ -169,8 +170,8 @@ TEST(Determinism, SameSeedYcsbExportIsByteIdentical) {
     c.stopYcsb();
     ASSERT_TRUE(c.exportMetrics(dir));
   };
-  const std::string dirA = ::testing::TempDir() + "det_ycsb_a";
-  const std::string dirB = ::testing::TempDir() + "det_ycsb_b";
+  const std::string dirA = test::tempPath("det_ycsb_a");
+  const std::string dirB = test::tempPath("det_ycsb_b");
   runOnce(dirA);
   runOnce(dirB);
   auto slurp = [](const std::string& path) {

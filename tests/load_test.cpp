@@ -32,6 +32,7 @@
 #include "obs/metrics_exporter.hpp"
 #include "sim/token_bucket.hpp"
 #include "ycsb/workload.hpp"
+#include "test_dirs.hpp"
 
 namespace rc {
 namespace {
@@ -470,7 +471,7 @@ TEST(OpenLoop, TenantIsolationUnderTenXSurge) {
   b.shape.flashCrowds = {{seconds(3), seconds(2), 10.0}};
 
   cfg.tenants = {a, b};
-  cfg.metricsDir = ::testing::TempDir() + "openloop_tenant_isolation";
+  cfg.metricsDir = test::tempPath("openloop_tenant_isolation");
   const core::OpenLoopResult r = core::runOpenLoopExperiment(cfg);
 
   ASSERT_EQ(r.tenants.size(), 2u);
@@ -556,9 +557,9 @@ TEST_P(OpenLoopSeed, ReplaysBitIdentical) {
     return core::runOpenLoopExperiment(cfg);
   };
   const std::string dirA =
-      ::testing::TempDir() + "openloop_replay_a" + std::to_string(seed);
+      test::tempPath("openloop_replay_a") + std::to_string(seed);
   const std::string dirB =
-      ::testing::TempDir() + "openloop_replay_b" + std::to_string(seed);
+      test::tempPath("openloop_replay_b") + std::to_string(seed);
   const core::OpenLoopResult a = run(dirA);
   const core::OpenLoopResult b = run(dirB);
   EXPECT_EQ(a.opsMeasured, b.opsMeasured);

@@ -22,6 +22,7 @@
 #include "obs/stats_sampler.hpp"
 #include "obs/time_trace.hpp"
 #include "ycsb/workload.hpp"
+#include "test_dirs.hpp"
 
 namespace rc::obs {
 namespace {
@@ -506,7 +507,7 @@ TEST(MetricsExporter, JsonlRoundTrip) {
   exp.attachSampler(&sampler);
   exp.attachTimeTrace(&tt);
 
-  const std::string dir = ::testing::TempDir() + "/obs_export_roundtrip";
+  const std::string dir = test::tempPath("obs_export_roundtrip");
   ASSERT_TRUE(exp.exportRunDir(dir));
   ASSERT_TRUE(std::filesystem::exists(dir + "/metrics.jsonl"));
   ASSERT_TRUE(std::filesystem::exists(dir + "/series.csv"));
@@ -655,7 +656,7 @@ TEST(JsonlCodec, MissingFieldsKeepDefaults) {
   EXPECT_EQ(big.num<int>("ok", 3), 42);
   EXPECT_EQ(big.num("huge"), 1e300);
 
-  const std::string path = ::testing::TempDir() + "/jsonl_defaults.jsonl";
+  const std::string path = test::tempPath("jsonl_defaults.jsonl");
   std::ofstream(path) << R"({"type":"span","name":"x","extra":1})" "\n";
   std::size_t malformed = 1;
   const auto spans = EventJournal::readJsonl(path, &malformed);
@@ -680,7 +681,7 @@ TEST(JsonlCodec, TruncatedLineIsMalformedAndYieldsNoRecord) {
     EXPECT_EQ(r.str("type", "none"), "none") << bad;
     EXPECT_EQ(r.type(), "") << bad;
   }
-  const std::string path = ::testing::TempDir() + "/jsonl_truncated.jsonl";
+  const std::string path = test::tempPath("jsonl_truncated.jsonl");
   std::ofstream(path)
       << R"({"type":"counter","name":"a","unit":"ops","value":1})" "\n"
       << "\n"
@@ -772,7 +773,7 @@ TEST(ObsEndToEnd, YcsbRunProducesAlignedSeriesAndStageHistograms) {
   }
 
   // Export and re-read: the run directory carries the full picture.
-  const std::string dir = ::testing::TempDir() + "/obs_e2e_run";
+  const std::string dir = test::tempPath("obs_e2e_run");
   ASSERT_TRUE(c.exportMetrics(dir));
   const auto records = MetricsExporter::readJsonl(dir + "/metrics.jsonl");
   ASSERT_FALSE(records.empty());

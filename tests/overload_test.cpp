@@ -32,6 +32,7 @@
 #include "server/dispatch.hpp"
 #include "server/master_service.hpp"
 #include "sim/backoff.hpp"
+#include "test_dirs.hpp"
 
 namespace rc {
 namespace {
@@ -549,8 +550,8 @@ TEST(Overload, RetryStormWithSlowBackupStaysStable) {
 }
 
 TEST(Overload, FlashCrowdReplaysBitIdentical) {
-  const std::string dirA = ::testing::TempDir() + "overload_replay_a";
-  const std::string dirB = ::testing::TempDir() + "overload_replay_b";
+  const std::string dirA = test::tempPath("overload_replay_a");
+  const std::string dirB = test::tempPath("overload_replay_b");
   StormOptions o;
   o.seed = 101;
   o.exportDir = dirA;

@@ -12,6 +12,7 @@
 #include "core/recovery_experiment.hpp"
 #include "server/backup_service.hpp"
 #include "server/master_service.hpp"
+#include "test_dirs.hpp"
 
 namespace rc::server {
 namespace {
@@ -274,8 +275,8 @@ TEST(Recovery, SameScenarioTwiceInOneProcessIsIdentical) {
     out.metrics = bytes.str();
     return out;
   };
-  const Run a = run(::testing::TempDir() + "sidelog_a");
-  const Run b = run(::testing::TempDir() + "sidelog_b");
+  const Run a = run(test::tempPath("sidelog_a"));
+  const Run b = run(test::tempPath("sidelog_b"));
   // The recovery masters adopted side-log segments (ids in the upper half).
   EXPECT_TRUE(std::any_of(
       a.segments.begin(), a.segments.end(),

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "server/backup_service.hpp"
@@ -269,6 +271,74 @@ TEST(MasterService, RemoveStampsServerStages) {
             workerService + 1);
   EXPECT_EQ(tt.stageHistogram(Stage::kReplicationWait).count(),
             replicationWait + 1);
+}
+
+// Client removes of every third bulk-loaded key: the indexes shrink by
+// exactly the removed keys, a removed key fails verification, and every
+// other key still reads back at its loaded version.
+TEST(MasterService, RemovesAfterBulkLoadKeepOtherKeysAndVersions) {
+  constexpr std::uint64_t kRecords = 20'000;
+  core::Cluster c(smallCluster(4, 0));
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, kRecords, 100);
+  auto masterOf = [&](std::uint64_t key) -> const MasterService& {
+    const ServerId owner = c.ownerOfKey(table, key);
+    for (int i = 0; i < c.serverCount(); ++i) {
+      if (c.serverNodeId(i) == owner) return *c.server(i).master;
+    }
+    throw std::logic_error("key without owner");
+  };
+  std::vector<std::uint64_t> loaded(kRecords);
+  for (std::uint64_t k = 0; k < kRecords; ++k) {
+    loaded[k] = masterOf(k).objectMap().get(hash::Key{table, k})->version;
+  }
+
+  // Issue the client ops in waves so no dispatch queue gets deep.
+  auto& rc = *c.clientHost(0).rc;
+  auto inWaves = [&](std::uint64_t first, std::uint64_t step, auto issue) {
+    std::uint64_t done = 0;
+    std::uint64_t issued = 0;
+    for (std::uint64_t k = first; k < kRecords; k += step) {
+      issue(k, done);
+      if (++issued % 256 == 0) {
+        while (done < issued) c.sim().runFor(msec(1));
+      }
+    }
+    while (done < issued) c.sim().runFor(msec(1));
+    return issued;
+  };
+  const std::uint64_t removed =
+      inWaves(0, 3, [&](std::uint64_t k, std::uint64_t& done) {
+        rc.remove(table, k, [&done](net::Status s, sim::Duration) {
+          EXPECT_EQ(s, net::Status::kOk);
+          ++done;
+        });
+      });
+  EXPECT_EQ(removed, (kRecords + 2) / 3);
+
+  std::uint64_t firstMissing = kRecords;
+  EXPECT_FALSE(c.verifyAllKeysPresent(table, kRecords, &firstMissing));
+  EXPECT_EQ(firstMissing, 0u);
+  std::size_t indexed = 0;
+  for (int i = 0; i < c.serverCount(); ++i) {
+    indexed += c.server(i).master->objectMap().size();
+  }
+  EXPECT_EQ(indexed, kRecords - removed);
+
+  for (std::uint64_t first : {1, 2}) {
+    inWaves(first, 3, [&](std::uint64_t k, std::uint64_t& done) {
+      rc.readV(table, k,
+               [&done, &loaded, k](net::Status s, std::uint64_t v,
+                                   sim::Duration) {
+                 EXPECT_EQ(s, net::Status::kOk) << k;
+                 EXPECT_EQ(v, loaded[k]) << k;
+                 ++done;
+               });
+    });
+  }
+  for (std::uint64_t k = 0; k < kRecords; k += 3) {
+    EXPECT_EQ(masterOf(k).objectMap().get(hash::Key{table, k}), nullptr);
+  }
 }
 
 // Multi-writes pass the single-key admission and tx-lock check per key: a

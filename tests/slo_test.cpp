@@ -24,6 +24,7 @@
 #include "sim/stats.hpp"
 #include "ycsb/workload.hpp"
 #include "ycsb/ycsb_client.hpp"
+#include "test_dirs.hpp"
 
 using namespace rc;
 
@@ -353,7 +354,7 @@ TEST(SloEndToEnd, FaultFreeRunsNeverArmTheFlightRecorderAtLooseTargets) {
   EXPECT_FALSE(c.flightRecorder().triggered());
   EXPECT_GT(c.sloTracker().recorded(), 0u);
 
-  const std::string dir = ::testing::TempDir() + "slo_fault_free";
+  const std::string dir = test::tempPath("slo_fault_free");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(c.exportMetrics(dir));
   EXPECT_TRUE(std::filesystem::exists(dir + "/slo.jsonl"));
@@ -371,8 +372,8 @@ TEST(SloEndToEnd, SloJsonlIsByteIdenticalAcrossRepeatedRuns) {
 }
 
 TEST(SloEndToEnd, ExportWritesSloJsonlThatRoundTripsByteIdentically) {
-  const std::string dirA = ::testing::TempDir() + "slo_export_a";
-  const std::string dirB = ::testing::TempDir() + "slo_export_b";
+  const std::string dirA = test::tempPath("slo_export_a");
+  const std::string dirB = test::tempPath("slo_export_b");
   std::filesystem::remove_all(dirA);
   std::filesystem::remove_all(dirB);
   for (const std::string& dir : {dirA, dirB}) {
@@ -428,7 +429,7 @@ TEST(SloEndToEnd, ClassNamesRoundTripThroughSloAndFlightJsonl) {
     c.startYcsb();
     c.sim().runFor(sim::msec(1500));
     c.stopYcsb();
-    const std::string dir = ::testing::TempDir() + "slo_class_names";
+    const std::string dir = test::tempPath("slo_class_names");
     std::filesystem::remove_all(dir);
     ASSERT_TRUE(c.exportMetrics(dir));
 
